@@ -679,8 +679,9 @@ class Analyzer {
            "report this netlist: Howard policy iteration should always converge");
     } else if (!p.karp_agrees) {
       emit("MTE054", Severity::kError, "", "",
-           "Howard and Karp minimum cycle ratios disagree",
-           "report this netlist: the two solvers bound the same quantity");
+           "Howard's minimum cycle ratio failed its optimality certificate",
+           "report this netlist: the exact integer re-check of Howard's final "
+           "policy could not prove it optimal");
     }
   }
 

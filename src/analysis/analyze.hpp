@@ -29,7 +29,8 @@
 //               cycle ratio of the marked graph (analysis/perf.hpp),
 //               per-thread caps, the bottleneck cycle with a buffer
 //               fix-it, informational Bernoulli rate caps, and solver
-//               self-check failures (non-convergence, Howard vs Karp)
+//               self-check failures (non-convergence, rejected
+//               optimality certificate)
 //
 // The port-granular signal model encodes each component's real
 // combinational dependencies (who reads which wire during eval), taken

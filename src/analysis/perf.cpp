@@ -1,7 +1,7 @@
 #include "analysis/perf.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <map>
@@ -189,10 +189,6 @@ std::vector<std::size_t> weak_components(const MarkedGraph& g) {
 /// throughput bound) so plain Dijkstra applies.
 std::vector<std::size_t> fill_latency(const Netlist& net) {
   const auto& nodes = net.nodes();
-  std::vector<std::vector<std::size_t>> in(nodes.size());
-  for (const auto& e : net.edges()) {
-    if (e.from < nodes.size() && e.to < nodes.size()) in[e.to].push_back(e.from);
-  }
   const auto weight = [&nodes](std::size_t v) -> std::size_t {
     if (nodes[v].type == NodeType::kBuffer) return 1;
     if (nodes[v].type == NodeType::kVarLatency) return clamped_lo(nodes[v]);
@@ -228,19 +224,52 @@ std::vector<std::size_t> fill_latency(const Netlist& net) {
 }
 
 // ---------------------------------------------------------------------------
-// Karp helpers
+// Policy walks and strongly connected components
 // ---------------------------------------------------------------------------
 
-/// Iterative Tarjan returning nontrivial SCCs (>= 2 vertices, or one
-/// vertex with a self-arc).
-std::vector<std::vector<std::size_t>> nontrivial_sccs(const MarkedGraph& g) {
+/// Walks the functional graph of `policy` (chosen arc index per vertex,
+/// kNone for a vertex without out-arcs) the way Howard's evaluation step
+/// does: from each unvisited vertex in index order, follow the policy
+/// until it reaches a visited vertex. A walk that closes on itself found
+/// a new cycle, passed as on_cycle(path, pos) with the cycle in
+/// path[pos..] and its anchor (bias 0) at path[pos]. Then on_tree(x) runs
+/// for each earlier vertex of the walk, last first, so every vertex's
+/// successor is done before it. `state` and `path` are scratch buffers.
+template <class OnCycle, class OnTree>
+void walk_policy(const MarkedGraph& g, const std::vector<std::size_t>& policy,
+                 std::vector<char>& state, std::vector<std::size_t>& path,
+                 OnCycle&& on_cycle, OnTree&& on_tree) {
+  const std::size_t n = g.adj.size();
+  state.assign(n, 0);  // 0 new, 1 on the current walk, 2 done
+  for (std::size_t s = 0; s < n; ++s) {
+    if (state[s] != 0) continue;
+    path.clear();
+    std::size_t u = s;
+    while (u != kNone && state[u] == 0) {
+      state[u] = 1;
+      path.push_back(u);
+      u = policy[u] == kNone ? kNone : g.adj[u][policy[u]].to;
+    }
+    std::size_t tree_end = path.size();
+    if (u != kNone && state[u] == 1) {
+      tree_end = static_cast<std::size_t>(std::find(path.begin(), path.end(), u) -
+                                          path.begin());
+      on_cycle(path, tree_end);
+    }
+    for (std::size_t i = tree_end; i-- > 0;) on_tree(path[i]);
+    for (const std::size_t x : path) state[x] = 2;
+  }
+}
+
+/// Iterative Tarjan: the strongly connected component id of every vertex.
+std::vector<std::size_t> scc_ids(const MarkedGraph& g) {
   const std::size_t n = g.adj.size();
   std::vector<std::size_t> index(n, kNone);
   std::vector<std::size_t> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
+  std::vector<std::size_t> scc(n, kNone);  // visited and kNone: on the stack
   std::vector<std::size_t> stack;
-  std::vector<std::vector<std::size_t>> sccs;
   std::size_t next_index = 0;
+  std::size_t next_scc = 0;
 
   struct Frame {
     std::size_t v;
@@ -256,7 +285,6 @@ std::vector<std::vector<std::size_t>> nontrivial_sccs(const MarkedGraph& g) {
       if (f.child == 0) {
         index[v] = lowlink[v] = next_index++;
         stack.push_back(v);
-        on_stack[v] = true;
       } else {
         const std::size_t w = g.adj[v][f.child - 1].to;
         lowlink[v] = std::min(lowlink[v], lowlink[w]);
@@ -269,28 +297,51 @@ std::vector<std::vector<std::size_t>> nontrivial_sccs(const MarkedGraph& g) {
           descended = true;
           break;
         }
-        if (on_stack[w]) lowlink[v] = std::min(lowlink[v], index[w]);
+        if (scc[w] == kNone) lowlink[v] = std::min(lowlink[v], index[w]);
       }
       if (descended) continue;
       if (lowlink[v] == index[v]) {
-        std::vector<std::size_t> scc;
-        while (true) {
-          const std::size_t w = stack.back();
+        std::size_t w = kNone;
+        do {
+          w = stack.back();
           stack.pop_back();
-          on_stack[w] = false;
-          scc.push_back(w);
-          if (w == v) break;
-        }
-        const bool self_arc =
-            scc.size() == 1 &&
-            std::any_of(g.adj[v].begin(), g.adj[v].end(),
-                        [v](const PerfArc& a) { return a.to == v; });
-        if (scc.size() >= 2 || self_arc) sccs.push_back(std::move(scc));
+          scc[w] = next_scc;
+        } while (w != v);
+        ++next_scc;
       }
       frames.pop_back();
     }
   }
-  return sccs;
+  return scc;
+}
+
+/// A policy cycle's vertices in walk order, plus its (tokens, hops) weight.
+struct WalkedCycle {
+  std::vector<std::size_t> verts;
+  std::size_t tokens = 0;
+  std::size_t hops = 0;
+};
+
+/// Follows `policy` from `start` until it closes a cycle (empty when the
+/// walk dead-ends). Marks each vertex it passes in `seen`, so one array
+/// serves several walks as long as none can reach another's vertices.
+WalkedCycle walk_cycle(const MarkedGraph& g, const std::vector<std::size_t>& policy,
+                       std::size_t start, std::vector<char>& seen) {
+  WalkedCycle out;
+  std::size_t u = start;
+  while (u != kNone && seen[u] == 0) {
+    seen[u] = 1;
+    u = policy[u] == kNone ? kNone : g.adj[u][policy[u]].to;
+  }
+  if (u == kNone) return out;
+  std::size_t x = u;
+  do {
+    out.verts.push_back(x);
+    out.tokens += g.adj[x][policy[x]].tokens;
+    ++out.hops;
+    x = g.adj[x][policy[x]].to;
+  } while (x != u);
+  return out;
 }
 
 }  // namespace
@@ -323,6 +374,8 @@ CycleMeanResult howard_min_cycle_mean(const MarkedGraph& g) {
   };
 
   const std::size_t max_iter = 100 + 10 * n;
+  std::vector<char> state;
+  std::vector<std::size_t> path;
   bool changed = true;
   while (changed && r.iterations < max_iter) {
     ++r.iterations;
@@ -330,46 +383,28 @@ CycleMeanResult howard_min_cycle_mean(const MarkedGraph& g) {
     // --- evaluate the current policy (a functional graph) ----------------
     std::fill(eta.begin(), eta.end(), kInf);
     std::fill(val.begin(), val.end(), 0.0);
-    std::vector<int> state(n, 0);  // 0 new, 1 on current path, 2 settled
-    for (std::size_t s = 0; s < n; ++s) {
-      if (state[s] != 0) continue;
-      std::vector<std::size_t> path;
-      std::size_t u = s;
-      while (u != kNone && state[u] == 0) {
-        state[u] = 1;
-        path.push_back(u);
-        u = succ(u);
-      }
-      if (u != kNone && state[u] == 1) {
-        // New cycle discovered along this path.
-        std::size_t pos = 0;
-        while (path[pos] != u) ++pos;
-        double tokens = 0.0;
-        for (std::size_t i = pos; i < path.size(); ++i) tokens += wgt(path[i]);
-        const double mean = tokens / static_cast<double>(path.size() - pos);
-        val[u] = 0.0;
-        eta[u] = mean;
-        for (std::size_t i = path.size(); i-- > pos + 1;) {
-          const std::size_t x = path[i];
-          const std::size_t nx = i + 1 < path.size() ? path[i + 1] : u;
-          eta[x] = mean;
-          val[x] = wgt(x) - mean + val[nx];
-        }
-      }
-      // Settle the remaining prefix against its (now settled) successor.
-      for (std::size_t i = path.size(); i-- > 0;) {
-        const std::size_t x = path[i];
-        if (state[x] == 2) continue;
-        const std::size_t nx = succ(x);
-        if (eta[x] == kInf) {  // not part of the cycle just found
+    walk_policy(
+        g, policy, state, path,
+        [&](const std::vector<std::size_t>& cyc, std::size_t pos) {
+          double tokens = 0.0;
+          for (std::size_t i = pos; i < cyc.size(); ++i) tokens += wgt(cyc[i]);
+          const double mean = tokens / static_cast<double>(cyc.size() - pos);
+          eta[cyc[pos]] = mean;
+          val[cyc[pos]] = 0.0;
+          for (std::size_t i = cyc.size(); i-- > pos + 1;) {
+            const std::size_t x = cyc[i];
+            eta[x] = mean;
+            val[x] = wgt(x) - mean + val[succ(x)];
+          }
+        },
+        [&](std::size_t x) {
+          // Settle a vertex off the cycle against its settled successor.
+          const std::size_t nx = succ(x);
           if (nx != kNone && eta[nx] != kInf) {
             eta[x] = eta[nx];
             val[x] = wgt(x) - eta[nx] + val[nx];
           }
-        }
-        state[x] = 2;
-      }
-    }
+        });
 
     // --- improve: per vertex, the index-first argmin of (eta, bias) ------
     changed = false;
@@ -410,129 +445,184 @@ CycleMeanResult howard_min_cycle_mean(const MarkedGraph& g) {
     }
   }
   if (argmin != kNone) {
-    std::vector<int> seen(n, 0);
-    std::size_t u = argmin;
-    while (u != kNone && !seen[u]) {
-      seen[u] = 1;
-      u = succ(u);
-    }
-    if (u != kNone) {
-      std::size_t x = u;
-      do {
-        r.cycle.push_back(x);
-        r.cycle_tokens += g.adj[x][policy[x]].tokens;
-        ++r.cycle_hops;
-        x = succ(x);
-      } while (x != u);
-    }
+    std::vector<char> seen(n, 0);
+    WalkedCycle wc = walk_cycle(g, policy, argmin, seen);
+    r.cycle = std::move(wc.verts);
+    r.cycle_tokens = wc.tokens;
+    r.cycle_hops = wc.hops;
   }
   return r;
 }
 
+// ---------------------------------------------------------------------------
+// Optimality certificate for Howard's result
+// ---------------------------------------------------------------------------
+
+bool certify_min_cycle_mean(const MarkedGraph& g, const CycleMeanResult& r) {
+  const std::size_t n = g.adj.size();
+  // Hop counts stay below 2^31, so every reduced-cost term fits __int128.
+  if (n >= (std::size_t{1} << 31) || r.policy.size() != n ||
+      r.vertex_ratio.size() != n) {
+    return false;
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    const bool none = r.policy[v] == kNone;
+    if (none != g.adj[v].empty() || (!none && r.policy[v] >= g.adj[v].size())) {
+      return false;
+    }
+  }
+  const auto arc_of = [&](std::size_t v) -> const PerfArc& {
+    return g.adj[v][r.policy[v]];
+  };
+
+  // Re-walk the policy in exact integers. Each vertex gets the (tokens,
+  // hops) of the policy cycle it ends in (hops 0 when it ends in none:
+  // ratio +inf) and Howard's bias scaled by those hops as its potential,
+  // pot(x) = hops * w(x) - tokens + pot(succ(x)), 0 at the cycle anchor.
+  using i64 = std::int64_t;
+  std::vector<i64> tok(n, 0);
+  std::vector<i64> hop(n, 0);
+  std::vector<i64> pot(n, 0);
+  bool exact = true;  // cleared by any int64 overflow
+  const auto set_potential = [&](std::size_t x) {
+    const PerfArc& a = arc_of(x);
+    i64 p = 0;
+    exact = !__builtin_mul_overflow(hop[x], a.tokens, &p) &&
+            !__builtin_sub_overflow(p, tok[x], &p) &&
+            !__builtin_add_overflow(p, pot[a.to], &p) && exact;
+    pot[x] = p;
+  };
+  std::vector<char> state;
+  std::vector<std::size_t> path;
+  walk_policy(
+      g, r.policy, state, path,
+      [&](const std::vector<std::size_t>& cyc, std::size_t pos) {
+        i64 tokens = 0;
+        for (std::size_t i = pos; i < cyc.size(); ++i) {
+          exact = !__builtin_add_overflow(tokens, arc_of(cyc[i]).tokens, &tokens) &&
+                  exact;
+        }
+        for (std::size_t i = pos; i < cyc.size(); ++i) {
+          tok[cyc[i]] = tokens;
+          hop[cyc[i]] = static_cast<i64>(cyc.size() - pos);
+        }
+        for (std::size_t i = cyc.size(); i-- > pos + 1;) set_potential(cyc[i]);
+      },
+      [&](std::size_t x) {
+        if (r.policy[x] == kNone) return;
+        const std::size_t nx = arc_of(x).to;
+        if (hop[nx] == 0) return;
+        tok[x] = tok[nx];
+        hop[x] = hop[nx];
+        set_potential(x);
+      });
+  if (!exact) return false;
+
+  const auto ratio = [&](std::size_t v) {
+    return hop[v] == 0 ? kInf
+                       : static_cast<double>(tok[v]) / static_cast<double>(hop[v]);
+  };
+  for (std::size_t v = 0; v < n; ++v) {
+    if (r.vertex_ratio[v] != ratio(v)) return false;
+  }
+
+  // Every arc u -> x needs ratio(u) <= ratio(x), so no vertex reaches a
+  // cycle below its own ratio. An arc inside one SCC lies on a cycle: both
+  // ends need one finite ratio and a non-negative reduced cost
+  // w - ratio + pot(x)/hop(x) - pot(u)/hop(u), here scaled by hop(u)*hop(x).
+  // The potentials cancel around any cycle, so no cycle's mean is below
+  // the ratio of its vertices.
+  using i128 = __int128;
+  const std::vector<std::size_t> scc = scc_ids(g);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (const PerfArc& a : g.adj[u]) {
+      const std::size_t x = a.to;
+      const i128 lhs = i128{tok[u]} * hop[x];  // ratio(u) against ratio(x),
+      const i128 rhs = i128{tok[x]} * hop[u];  // cross-multiplied
+      if (hop[x] != 0 && (hop[u] == 0 || lhs > rhs)) return false;
+      if (scc[u] != scc[x]) continue;
+      if (hop[u] == 0 || hop[x] == 0 || lhs != rhs) return false;
+      const i128 reduced = i128{a.tokens} * hop[u] * hop[x] - lhs +
+                           i128{pot[x]} * hop[u] - i128{pot[u]} * hop[x];
+      if (reduced < 0) return false;
+    }
+  }
+
+  // The reported critical cycle: policy arcs that close after exactly its
+  // walked hop count, with its walked tokens, and no vertex ratio below it.
+  if (r.cycle.empty()) {
+    return r.ratio == kInf && r.cycle_tokens == 0 && r.cycle_hops == 0 &&
+           std::all_of(hop.begin(), hop.end(), [](i64 h) { return h == 0; });
+  }
+  const std::size_t c0 = r.cycle.front();
+  if (c0 >= n || hop[c0] == 0 || r.cycle.size() != static_cast<std::size_t>(hop[c0]) ||
+      r.cycle_hops != r.cycle.size() ||
+      r.cycle_tokens != static_cast<std::size_t>(tok[c0]) || r.ratio != ratio(c0)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < r.cycle.size(); ++i) {
+    const std::size_t x = r.cycle[i];
+    if (x >= n || r.policy[x] == kNone ||
+        arc_of(x).to != r.cycle[(i + 1) % r.cycle.size()]) {
+      return false;
+    }
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    if (hop[v] != 0 && i128{tok[c0]} * hop[v] > i128{tok[v]} * hop[c0]) return false;
+  }
+  return true;
+}
+
 namespace {
 
-/// Walks the converged policy from `start` until it closes a cycle;
-/// returns the cycle's vertices plus its (tokens, hops) weight.
-struct WalkedCycle {
-  std::vector<std::size_t> verts;
-  std::size_t tokens = 0;
-  std::size_t hops = 0;
+/// Token-weighted shortest distances to one target vertex at a time
+/// (Dijkstra over the reversed arcs, weight = initial tokens): the
+/// transient slack a downstream measurement at the target can collect
+/// from a constraint at each vertex; kNone where no directed path exists.
+/// The reversed graph and the distance array are built once for every
+/// target, and a search resets only the vertices the previous one reached.
+class SlackSearch {
+ public:
+  explicit SlackSearch(const MarkedGraph& g)
+      : rev_(g.adj.size()), dist_(g.adj.size(), kNone) {
+    for (std::size_t u = 0; u < g.adj.size(); ++u) {
+      for (const auto& a : g.adj[u]) rev_[a.to].push_back({u, a.tokens});
+    }
+  }
+
+  void run(std::size_t target) {
+    for (const std::size_t v : reached_) dist_[v] = kNone;
+    reached_.clear();
+    using Item = std::pair<std::size_t, std::size_t>;  // (dist, vertex)
+    std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
+    dist_[target] = 0;
+    reached_.push_back(target);
+    heap.push({0, target});
+    while (!heap.empty()) {
+      const auto [d, v] = heap.top();
+      heap.pop();
+      if (d > dist_[v]) continue;
+      for (const auto& a : rev_[v]) {
+        const std::size_t nd = d + a.tokens;
+        if (nd < dist_[a.to]) {
+          if (dist_[a.to] == kNone) reached_.push_back(a.to);
+          dist_[a.to] = nd;
+          heap.push({nd, a.to});
+        }
+      }
+    }
+  }
+
+  /// Distance from `v` to the last target searched.
+  [[nodiscard]] std::size_t from(std::size_t v) const { return dist_[v]; }
+
+ private:
+  std::vector<std::vector<PerfArc>> rev_;
+  std::vector<std::size_t> dist_;
+  std::vector<std::size_t> reached_;
 };
 
-WalkedCycle walk_cycle(const MarkedGraph& g, const std::vector<std::size_t>& policy,
-                       std::size_t start) {
-  WalkedCycle out;
-  std::vector<int> seen(g.adj.size(), 0);
-  std::size_t u = start;
-  while (u != kNone && !seen[u]) {
-    seen[u] = 1;
-    u = policy[u] == kNone ? kNone : g.adj[u][policy[u]].to;
-  }
-  if (u == kNone) return out;
-  std::size_t x = u;
-  do {
-    out.verts.push_back(x);
-    out.tokens += g.adj[x][policy[x]].tokens;
-    ++out.hops;
-    x = g.adj[x][policy[x]].to;
-  } while (x != u);
-  return out;
-}
-
-/// Token-weighted shortest distance from every vertex TO `target`
-/// (Dijkstra over the reversed arcs, weight = initial tokens): the
-/// transient slack a downstream measurement at `target` can collect from
-/// a constraint at that vertex. kNone where no directed path exists.
-std::vector<std::size_t> token_distance_to(const MarkedGraph& g,
-                                           std::size_t target) {
-  const std::size_t n = g.adj.size();
-  std::vector<std::vector<PerfArc>> rev(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    for (const auto& a : g.adj[u]) rev[a.to].push_back({u, a.tokens});
-  }
-  std::vector<std::size_t> dist(n, kNone);
-  using Item = std::pair<std::size_t, std::size_t>;  // (dist, vertex)
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-  dist[target] = 0;
-  heap.push({0, target});
-  while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
-    if (d > dist[v]) continue;
-    for (const auto& a : rev[v]) {
-      const std::size_t nd = d + a.tokens;
-      if (nd < dist[a.to]) {
-        dist[a.to] = nd;
-        heap.push({nd, a.to});
-      }
-    }
-  }
-  return dist;
-}
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Karp's algorithm (cross-check)
-// ---------------------------------------------------------------------------
-
-double karp_min_cycle_mean(const MarkedGraph& g) {
-  double best = kInf;
-  for (const auto& scc : nontrivial_sccs(g)) {
-    const std::size_t nc = scc.size();
-    std::vector<std::size_t> local(g.adj.size(), kNone);
-    for (std::size_t i = 0; i < nc; ++i) local[scc[i]] = i;
-    // arcs[v] = incoming (from, weight) pairs within the SCC.
-    std::vector<std::vector<std::pair<std::size_t, double>>> in(nc);
-    for (const std::size_t u : scc) {
-      for (const auto& a : g.adj[u]) {
-        if (local[a.to] != kNone) {
-          in[local[a.to]].push_back({local[u], static_cast<double>(a.tokens)});
-        }
-      }
-    }
-    // D[k][v]: min weight of a k-arc walk from scc[0].
-    std::vector<std::vector<double>> d(nc + 1, std::vector<double>(nc, kInf));
-    d[0][0] = 0.0;
-    for (std::size_t k = 1; k <= nc; ++k) {
-      for (std::size_t v = 0; v < nc; ++v) {
-        for (const auto& [u, w] : in[v]) {
-          if (d[k - 1][u] != kInf) d[k][v] = std::min(d[k][v], d[k - 1][u] + w);
-        }
-      }
-    }
-    for (std::size_t v = 0; v < nc; ++v) {
-      if (d[nc][v] == kInf) continue;
-      double worst = -kInf;
-      for (std::size_t k = 0; k < nc; ++k) {
-        if (d[k][v] == kInf) continue;
-        worst = std::max(worst, (d[nc][v] - d[k][v]) / static_cast<double>(nc - k));
-      }
-      if (worst != -kInf) best = std::min(best, worst);
-    }
-  }
-  return best;
-}
 
 // ---------------------------------------------------------------------------
 // Finite-horizon bound
@@ -573,11 +663,9 @@ PerfReport analyze_perf(const Netlist& net, const PerfOptions& options) {
 
   const GraphModel model = build_model(net, options);
   const CycleMeanResult howard = howard_min_cycle_mean(model.graph);
-  const double karp = karp_min_cycle_mean(model.graph);
   rep.converged = howard.converged;
   rep.iterations = howard.iterations;
-  rep.karp_agrees =
-      (howard.ratio == kInf && karp == kInf) || std::abs(howard.ratio - karp) <= kEps;
+  rep.karp_agrees = certify_min_cycle_mean(model.graph, howard);
 
   const std::vector<std::size_t> comp = weak_components(model.graph);
   const std::vector<std::size_t> fill = fill_latency(net);
@@ -592,11 +680,11 @@ PerfReport analyze_perf(const Netlist& net, const PerfOptions& options) {
     if (s * (1 + k) < 2) service_cap = {s * (1 + k), 2};
   }
 
-  // Which components contain an MEB station (the service cap's scope).
-  std::set<std::size_t> meb_comps;
+  // MEB station vertices per component (the service cap's scope).
+  std::map<std::size_t, std::vector<std::size_t>> meb_heads;
   for (const auto& n : nodes) {
     if (n.type == NodeType::kBuffer && model.head[n.id] != kNone) {
-      meb_comps.insert(comp[model.head[n.id]]);
+      meb_heads[comp[model.head[n.id]]].push_back(model.head[n.id]);
     }
   }
 
@@ -632,8 +720,15 @@ PerfReport analyze_perf(const Netlist& net, const PerfOptions& options) {
     return c;
   };
 
+  // Each component's critical cycle, walked once from its argmin vertex
+  // on first use. Policy arcs never leave a component, so the walks share
+  // one visited array.
+  std::map<std::size_t, WalkedCycle> comp_cycle;
+  std::vector<char> walked(model.verts.size(), 0);
+  SlackSearch slack_to_sink(model.graph);
+
   double worst_structural = 1.0;
-  std::optional<WalkedCycle> worst_cycle;
+  const WalkedCycle* worst_cycle = nullptr;
   for (const auto& n : nodes) {
     if (n.type != NodeType::kSink) continue;
     PerfSinkBound sb;
@@ -654,19 +749,27 @@ PerfReport analyze_perf(const Netlist& net, const PerfOptions& options) {
     sb.structural_ratio = structural;
     double theta = structural;
     // Token slack from every vertex to this sink — the additive transient
-    // a remote constraint leaves the sink free to collect.
-    const std::vector<std::size_t> slack_to_sink =
-        token_distance_to(model.graph, sink_vertex);
+    // a remote constraint leaves the sink free to collect. Only a
+    // candidate below 1 token/cycle reads it.
+    const auto mh = meb_heads.find(c);
+    const bool capped = service_cap && mh != meb_heads.end();
+    if (structural < 1.0 - kEps || capped) slack_to_sink.run(sink_vertex);
     const auto min_slack = [&](const std::vector<std::size_t>& verts) {
       std::size_t best = kNone;
-      for (const std::size_t v : verts) best = std::min(best, slack_to_sink[v]);
+      for (const std::size_t v : verts) best = std::min(best, slack_to_sink.from(v));
       return best;
     };
     if (structural < 1.0 - kEps) {
       // The component's own critical cycle (walked from its argmin
       // vertex), not the global one — they differ in multi-sink nets.
-      const WalkedCycle wc =
-          walk_cycle(model.graph, howard.policy, cm->second.second);
+      auto cc = comp_cycle.find(c);
+      if (cc == comp_cycle.end()) {
+        cc = comp_cycle
+                 .emplace(c, walk_cycle(model.graph, howard.policy, cm->second.second,
+                                        walked))
+                 .first;
+      }
+      const WalkedCycle& wc = cc->second;
       if (wc.hops > 0) {
         // A cycle with no directed path to the sink imposes no count
         // recurrence on it (theta still records the steady-state cap).
@@ -675,19 +778,13 @@ PerfReport analyze_perf(const Netlist& net, const PerfOptions& options) {
       }
       if (structural < worst_structural - kEps) {
         worst_structural = structural;
-        worst_cycle = wc;
+        worst_cycle = &wc;
       }
     }
-    if (service_cap && meb_comps.count(c) != 0) {
+    if (capped) {
       // The cap binds at each MEB station; the sink additionally collects
       // the slack buffered past the nearest constraining MEB.
-      std::size_t slack = kNone;
-      for (const auto& meb : nodes) {
-        if (meb.type == NodeType::kBuffer && model.head[meb.id] != kNone &&
-            comp[model.head[meb.id]] == c) {
-          slack = std::min(slack, slack_to_sink[model.head[meb.id]]);
-        }
-      }
+      const std::size_t slack = min_slack(mh->second);
       if (slack != kNone) {
         sb.candidates.push_back({service_cap->first, service_cap->second, slack});
       }

@@ -7,9 +7,9 @@
 // graph from the *real* component semantics — each vertex is a token
 // acceptance event at a storage element (EB/MEB slot write, var-latency
 // issue), a source grant or a sink consumption — and computes the
-// minimum cycle ratio with Howard's policy iteration (Karp's algorithm
-// runs as an always-on cross-check; the two disagreeing is an MTE054
-// error, not a tolerance knob).
+// minimum cycle ratio with Howard's policy iteration. Every result then
+// passes an exact integer optimality certificate in O(V + E); a rejected
+// result is an MTE054 error, not a tolerance knob.
 //
 // Arc rules, derived from the component sources and validated against
 // hand traces of the simulator (see test_perf_vs_sim.cpp):
@@ -65,7 +65,7 @@ struct PerfArc {
 };
 
 /// The marked graph: adjacency lists of unit-delay arcs. Exposed so the
-/// Howard/Karp kernels can be property-tested on synthetic graphs.
+/// solver and its certificate can be property-tested on synthetic graphs.
 struct MarkedGraph {
   std::vector<std::vector<PerfArc>> adj;
 };
@@ -93,9 +93,14 @@ struct CycleMeanResult {
 /// tolerance, so reruns produce byte-identical reports.
 [[nodiscard]] CycleMeanResult howard_min_cycle_mean(const MarkedGraph& g);
 
-/// Karp's algorithm (per nontrivial SCC) for the same quantity; +inf
-/// when acyclic. The independent cross-check for Howard.
-[[nodiscard]] double karp_min_cycle_mean(const MarkedGraph& g);
+/// Checks in O(V + E) exact integer arithmetic that `r` is optimal for
+/// `g`: re-walks r.policy, then requires ratio(u) <= ratio(x) on every arc
+/// u -> x, equal finite ratios and a non-negative reduced cost on every
+/// arc inside one SCC, and vertex_ratio, ratio, cycle, cycle_tokens and
+/// cycle_hops to match the walk. A wrong result cannot pass; int64
+/// overflow also rejects.
+[[nodiscard]] bool certify_min_cycle_mean(const MarkedGraph& g,
+                                          const CycleMeanResult& r);
 
 /// The bottleneck cycle of a netlist whose bound is below 1 token/cycle.
 struct PerfCycle {
@@ -143,7 +148,9 @@ struct PerfSinkBound {
 
 struct PerfReport {
   bool converged = true;      ///< Howard hit its fixed point
-  bool karp_agrees = true;    ///< Karp confirmed the global minimum
+  /// The optimality certificate accepted Howard's result. The name is
+  /// kept for its readers: DSE static_bound, the tests and the benchmark.
+  bool karp_agrees = true;
   std::size_t iterations = 0;
   /// Min over sinks of theta (1.0 for a netlist without sinks).
   double aggregate_bound = 1.0;

@@ -31,6 +31,11 @@ struct FixtureCase {
   bool perf = false;        // run the MTE05x static throughput pass too
 };
 
+// gtest prints the parameter into the listed test name, which CTest uses as
+// the test ID. The default byte dump would show the string-literal addresses,
+// which change with every run of the binary, so print the fixture file.
+void PrintTo(const FixtureCase& c, std::ostream* os) { *os << c.fixture; }
+
 // The golden base name encodes the non-default options (e.g. _oblivious,
 // _k6), so one fixture can pin several analysis configurations.
 const FixtureCase kCases[] = {

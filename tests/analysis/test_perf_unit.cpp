@@ -1,9 +1,14 @@
 // Unit and property tests for the static performance analyzer's solver
 // kernels and renderers:
-//   * Howard's policy iteration and Karp's algorithm agree on the
-//     minimum cycle mean over seeded random marked graphs (multi-SCC,
-//     rate-capped token counts) — the same cross-check analyze_perf()
-//     runs on every netlist (MTE054);
+//   * Howard's policy iteration agrees with Karp's algorithm (the
+//     test-only oracle in karp_oracle.hpp) on the minimum cycle mean over
+//     seeded random marked graphs (multi-SCC, rate-capped token counts),
+//     and the optimality certificate analyze_perf() runs on every netlist
+//     (MTE054) accepts each of Howard's results;
+//   * the certificate rejects wrong results, one test per check it makes:
+//     lowered ratios, a policy switched to a worse arc, a self-consistent
+//     but suboptimal policy, a misreported or shortened critical cycle,
+//     a finite ratio on an acyclic graph and an infinite one on a cycle;
 //   * windowed_bound() folds candidates and fill latency exactly;
 //   * json_escape() neutralizes hostile diagnostic messages end to end
 //     through the JSON renderer;
@@ -11,20 +16,26 @@
 //     upload expects.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "analysis/analyze.hpp"
 #include "analysis/diagnostic.hpp"
 #include "analysis/perf.hpp"
+#include "karp_oracle.hpp"
 
 namespace {
 
 using namespace mte;
 using analysis::MarkedGraph;
 using analysis::PerfArc;
+using analysis::certify_min_cycle_mean;
+using analysis::testing::karp_min_cycle_mean;
 
 /// A random marked graph of `n` vertices: every vertex gets a self-loop
 /// (tokens 1..cap, mirroring the netlist model where every acceptance
@@ -57,9 +68,10 @@ TEST(PerfSolvers, HowardMatchesKarpOnRandomGraphs) {
 
     const auto howard = analysis::howard_min_cycle_mean(g);
     ASSERT_TRUE(howard.converged);
-    const double karp = analysis::karp_min_cycle_mean(g);
+    const double karp = karp_min_cycle_mean(g);
     ASSERT_TRUE(std::isfinite(howard.ratio));  // self-loops force a cycle
     EXPECT_NEAR(howard.ratio, karp, 1e-9);
+    EXPECT_TRUE(certify_min_cycle_mean(g, howard));
 
     // The reported critical cycle must reproduce the reported ratio.
     ASSERT_FALSE(howard.cycle.empty());
@@ -79,8 +91,9 @@ TEST(PerfSolvers, AcyclicGraphIsInfinite) {
   const auto howard = analysis::howard_min_cycle_mean(g);
   ASSERT_TRUE(howard.converged);
   EXPECT_TRUE(std::isinf(howard.ratio));
-  EXPECT_TRUE(std::isinf(analysis::karp_min_cycle_mean(g)));
+  EXPECT_TRUE(std::isinf(karp_min_cycle_mean(g)));
   EXPECT_TRUE(howard.cycle.empty());
+  EXPECT_TRUE(certify_min_cycle_mean(g, howard));
 }
 
 TEST(PerfSolvers, TwoVertexRingHasMeanHalf) {
@@ -94,9 +107,176 @@ TEST(PerfSolvers, TwoVertexRingHasMeanHalf) {
   const auto howard = analysis::howard_min_cycle_mean(g);
   ASSERT_TRUE(howard.converged);
   EXPECT_NEAR(howard.ratio, 0.5, 1e-12);
-  EXPECT_NEAR(analysis::karp_min_cycle_mean(g), 0.5, 1e-12);
+  EXPECT_NEAR(karp_min_cycle_mean(g), 0.5, 1e-12);
   EXPECT_EQ(howard.cycle_tokens, 1u);
   EXPECT_EQ(howard.cycle_hops, 2u);
+  EXPECT_TRUE(certify_min_cycle_mean(g, howard));
+}
+
+/// Runs `check` on Howard's result for each graph of the seeded corpus.
+template <class Check>
+void for_each_random_result(Check&& check) {
+  std::mt19937_64 rng(20260917u);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t n = 2 + static_cast<std::size_t>(trial % 23);
+    const std::size_t cap = 1 + static_cast<std::size_t>(trial % 5);
+    const MarkedGraph g = random_graph(rng, n, cap);
+    const auto howard = analysis::howard_min_cycle_mean(g);
+    ASSERT_TRUE(howard.converged);
+    ASSERT_TRUE(certify_min_cycle_mean(g, howard));
+    check(g, howard);
+  }
+}
+
+TEST(PerfCertificate, RejectsLoweredRatios) {
+  for_each_random_result([](const MarkedGraph& g, analysis::CycleMeanResult r) {
+    for (double& ratio : r.vertex_ratio) ratio -= 0.25;
+    r.ratio -= 0.25;
+    EXPECT_FALSE(certify_min_cycle_mean(g, r));
+  });
+}
+
+TEST(PerfCertificate, RejectsPolicySwitchedToWorseArc) {
+  // Every alternative arc of every vertex: an arc into a strictly higher
+  // ratio can never be certified, and across the corpus some switch must
+  // be caught (arcs into equal ratios may legitimately pass).
+  std::size_t rejected = 0;
+  for_each_random_result([&](const MarkedGraph& g, const analysis::CycleMeanResult& r) {
+    for (std::size_t v = 0; v < g.adj.size(); ++v) {
+      for (std::size_t a = 0; a < g.adj[v].size(); ++a) {
+        if (a == r.policy[v]) continue;
+        analysis::CycleMeanResult switched = r;
+        switched.policy[v] = a;
+        const bool accepted = certify_min_cycle_mean(g, switched);
+        if (!accepted) ++rejected;
+        if (r.vertex_ratio[g.adj[v][a].to] > r.vertex_ratio[v] + 1e-12) {
+          EXPECT_FALSE(accepted) << "vertex " << v << " arc " << a;
+        }
+      }
+    }
+  });
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(PerfCertificate, RejectsSelfConsistentSuboptimalPolicy) {
+  // Every vertex keeps its self-loop (arc 0 of random_graph): the claimed
+  // ratios, critical cycle and counts all match that policy's own walk,
+  // so only the arc inequalities can show that a vertex reaches a cheaper
+  // cycle. Unit-token loops put every vertex of an SCC at ratio 1, which
+  // leaves a cheaper cycle inside the SCC to the reduced-cost check alone.
+  std::size_t suboptimal_cases = 0;
+  for_each_random_result([&](const MarkedGraph& g, const analysis::CycleMeanResult& r) {
+    analysis::CycleMeanResult loops = r;
+    loops.cycle = {0};
+    for (std::size_t v = 0; v < g.adj.size(); ++v) {
+      loops.policy[v] = 0;
+      loops.vertex_ratio[v] = static_cast<double>(g.adj[v][0].tokens);
+      if (g.adj[v][0].tokens < g.adj[loops.cycle[0]][0].tokens) loops.cycle = {v};
+    }
+    loops.cycle_tokens = g.adj[loops.cycle[0]][0].tokens;
+    loops.cycle_hops = 1;
+    loops.ratio = static_cast<double>(loops.cycle_tokens);
+    bool suboptimal = false;
+    for (std::size_t v = 0; v < g.adj.size(); ++v) {
+      suboptimal = suboptimal || loops.vertex_ratio[v] > r.vertex_ratio[v] + 1e-12;
+    }
+    if (!suboptimal) return;
+    EXPECT_FALSE(certify_min_cycle_mean(g, loops));
+    ++suboptimal_cases;
+  });
+  EXPECT_GT(suboptimal_cases, 0u);
+}
+
+TEST(PerfCertificate, RejectsCriticalCycleWithVertexDropped) {
+  // The dropped vertex's arc weight leaves the totals too, so only the
+  // broken chain of policy arcs gives the tampering away.
+  for_each_random_result([](const MarkedGraph& g, analysis::CycleMeanResult r) {
+    const std::size_t drop = r.cycle.size() / 2;
+    r.cycle_tokens -= g.adj[r.cycle[drop]][r.policy[r.cycle[drop]]].tokens;
+    r.cycle_hops -= 1;
+    r.cycle.erase(r.cycle.begin() + static_cast<std::ptrdiff_t>(drop));
+    EXPECT_FALSE(certify_min_cycle_mean(g, r));
+  });
+}
+
+TEST(PerfCertificate, RejectsMisreportedCriticalCycle) {
+  // Right length, tokens and ratio, but no chain of policy arcs (the
+  // anchor repeated); and a real policy cycle that is not the minimum.
+  std::size_t broken = 0;
+  std::size_t higher = 0;
+  for_each_random_result([&](const MarkedGraph& g, const analysis::CycleMeanResult& r) {
+    if (r.cycle.size() >= 2) {
+      analysis::CycleMeanResult repeated = r;
+      std::fill(repeated.cycle.begin(), repeated.cycle.end(), r.cycle.front());
+      EXPECT_FALSE(certify_min_cycle_mean(g, repeated));
+      ++broken;
+    }
+    for (std::size_t v = 0; v < g.adj.size(); ++v) {
+      if (r.vertex_ratio[v] <= r.ratio + 1e-12) continue;
+      // Follow v's policy onto the cycle it ends in.
+      std::vector<char> seen(g.adj.size(), 0);
+      std::size_t u = v;
+      while (seen[u] == 0) {
+        seen[u] = 1;
+        u = g.adj[u][r.policy[u]].to;
+      }
+      analysis::CycleMeanResult other = r;
+      other.cycle.clear();
+      other.cycle_tokens = 0;
+      std::size_t x = u;
+      do {
+        other.cycle.push_back(x);
+        other.cycle_tokens += g.adj[x][r.policy[x]].tokens;
+        x = g.adj[x][r.policy[x]].to;
+      } while (x != u);
+      other.cycle_hops = other.cycle.size();
+      other.ratio = r.vertex_ratio[v];
+      EXPECT_FALSE(certify_min_cycle_mean(g, other));
+      ++higher;
+      break;
+    }
+  });
+  EXPECT_GT(broken, 0u);
+  EXPECT_GT(higher, 0u);
+}
+
+TEST(PerfCertificate, RejectsFiniteRatioOnAcyclicGraph) {
+  MarkedGraph g;
+  g.adj.resize(3);
+  g.adj[0].push_back({1, 1});
+  g.adj[1].push_back({2, 0});
+  const auto howard = analysis::howard_min_cycle_mean(g);
+  ASSERT_TRUE(certify_min_cycle_mean(g, howard));
+
+  auto claimed = howard;
+  claimed.vertex_ratio[0] = 1.0;
+  EXPECT_FALSE(certify_min_cycle_mean(g, claimed));
+  claimed = howard;
+  claimed.ratio = 1.0;
+  EXPECT_FALSE(certify_min_cycle_mean(g, claimed));
+}
+
+TEST(PerfCertificate, RejectsInfiniteRatioOnCycle) {
+  // 0 <-> 1 is a cycle, but a policy that leaves it for the dead end 2
+  // walks to no cycle anywhere: self-consistent, and still wrong.
+  MarkedGraph g;
+  g.adj.resize(3);
+  g.adj[0].push_back({1, 1});
+  g.adj[0].push_back({2, 0});
+  g.adj[1].push_back({0, 1});
+  const auto howard = analysis::howard_min_cycle_mean(g);
+  ASSERT_TRUE(certify_min_cycle_mean(g, howard));
+  ASSERT_EQ(howard.ratio, 1.0);
+
+  auto escaped = howard;
+  escaped.policy[0] = 1;
+  escaped.vertex_ratio.assign(3, std::numeric_limits<double>::infinity());
+  escaped.ratio = std::numeric_limits<double>::infinity();
+  escaped.cycle.clear();
+  escaped.cycle_tokens = 0;
+  escaped.cycle_hops = 0;
+  EXPECT_FALSE(certify_min_cycle_mean(g, escaped));
 }
 
 TEST(PerfWindow, FoldsFillLatencyAndCandidates) {

@@ -104,7 +104,7 @@ TEST(PerfVsSim, BoundHoldsOnFuzzCorpusBothKernels) {
     options.arbiter = arbiter;
     const auto perf = analysis::analyze_perf(net, options);
     ASSERT_TRUE(perf.converged) << "Howard did not converge";
-    ASSERT_TRUE(perf.karp_agrees) << "Howard and Karp disagree";
+    ASSERT_TRUE(perf.karp_agrees) << "certificate rejected Howard's result";
 
     for (const auto kernel : kKernels) {
       check_bound(net, perf, kernel, arbiter, cycles);

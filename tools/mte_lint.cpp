@@ -214,9 +214,9 @@ int main(int argc, char** argv) {
     const auto net = mte::netlist::random_fuzz_netlist(rng, has_mt_join);
     // Joins over independent arms are only elaborated under the
     // oblivious arbiter (see fuzz.hpp) — lint under the same contract.
-    // The perf pass always runs on the corpus: its Howard/Karp
-    // self-check (MTE054) surfaces solver regressions with the seed
-    // right in the input name.
+    // The perf pass always runs on the corpus: the optimality
+    // certificate it checks Howard's result with (MTE054) surfaces solver
+    // regressions with the seed right in the input name.
     AnalysisOptions case_options = options;
     if (has_mt_join) case_options.arbiter = mte::mt::ArbiterKind::kOblivious;
     case_options.perf = true;
