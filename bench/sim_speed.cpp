@@ -23,9 +23,11 @@
 //                 the machine-independent commit-work metric (elision
 //                 lowers it; a component that forgets tick_quiescent
 //                 raises it),
-//   commit_share  commit wall time / (settle + commit) wall time, from a
-//                 separate phase-instrumented run (Simulator::
-//                 set_phase_timing; not the timed best-of-3 reps).
+//   commit_share  tick() dispatch time / (eval + tick) dispatch time,
+//                 from a stride-1 obs::PhaseProfiler attached for a
+//                 separate stretch after the timed best-of-3 reps (its
+//                 per-dispatch clock reads would distort them). Kernel
+//                 bookkeeping between dispatches is in neither phase.
 //
 // `bench_sim_speed --gate` runs only the CI regression gates on fig5_full
 // S=4 under backpressure: the event kernel must stay below a committed
@@ -76,7 +78,7 @@ struct Measurement {
   double ticks = 0.0;             // tick() dispatches per cycle (commit work)
   double elided = 0.0;            // ticks skipped by elision, per cycle
   bool demoted = false;           // event kernel fell back to naive order
-  double commit_share = 0.0;      // commit wall / (settle + commit) wall
+  double commit_share = 0.0;      // tick / (eval + tick) dispatch time
   std::uint64_t tokens = 0;
   std::uint64_t digest_check = 0; // md5 rows: order-sensitive digest mix
 };
@@ -93,6 +95,19 @@ struct Workload {
   // the adversarial case for an event-driven kernel.
   double sink_rate = 1.0;
 };
+
+/// commit_share of `s` over `stretch` (a callable that runs it): the
+/// commit fraction of a stride-1 PhaseProfiler's dispatch time.
+template <typename Stretch>
+double profiled_commit_share(sim::Simulator& s, Stretch stretch) {
+  obs::PhaseProfiler profiler;
+  s.set_profiler(&profiler);
+  stretch();
+  s.set_profiler(nullptr);
+  const obs::ProfileReport report = profiler.report(s.components());
+  const double total = report.total_settle_seconds() + report.total_commit_seconds();
+  return total > 0.0 ? report.total_commit_seconds() / total : 0.0;
+}
 
 /// The fig5-shaped MEB pipeline: four stages of buffer + function unit
 /// between a source and a sink, multithreaded to S threads of the chosen
@@ -176,14 +191,9 @@ Measurement measure_md5(const Workload& w, sim::KernelKind kernel) {
       static_cast<double>(c.simulator().elided_tick_count() - elided_before) /
       static_cast<double>(kReps) / static_cast<double>(cycles_per_rep);
   m.demoted = c.simulator().demoted_to_naive();
-  // Commit wall share from a separate phase-instrumented digest batch
-  // (the clock reads would distort the timed reps above).
-  c.simulator().set_phase_timing(true);
-  for (int d = 0; d < 8; ++d) (void)c.run();
-  c.simulator().set_phase_timing(false);
-  const double settle_s = c.simulator().settle_seconds();
-  const double commit_s = c.simulator().commit_seconds();
-  if (settle_s + commit_s > 0.0) m.commit_share = commit_s / (settle_s + commit_s);
+  m.commit_share = profiled_commit_share(c.simulator(), [&c] {
+    for (int d = 0; d < 8; ++d) (void)c.run();
+  });
   m.tokens = static_cast<std::uint64_t>(kDigestsPerRep) * w.threads;
   for (std::size_t t = 0; t < w.threads; ++t) {
     const md5::State& s = c.digest(t);
@@ -242,14 +252,7 @@ Measurement measure(const Workload& w, sim::KernelKind kernel) {
     m.elided = static_cast<double>(s.elided_tick_count() - elided_before) /
                static_cast<double>(kReps) / static_cast<double>(w.cycles);
     m.demoted = s.demoted_to_naive();
-    // Commit wall share from a separate phase-instrumented stretch (the
-    // clock reads would distort the timed reps above).
-    s.set_phase_timing(true);
-    s.run(w.cycles / 4);
-    s.set_phase_timing(false);
-    const double settle_s = s.settle_seconds();
-    const double commit_s = s.commit_seconds();
-    if (settle_s + commit_s > 0.0) m.commit_share = commit_s / (settle_s + commit_s);
+    m.commit_share = profiled_commit_share(s, [&s, &w] { s.run(w.cycles / 4); });
   };
 
   if (w.threads > 1) {
@@ -306,7 +309,7 @@ int run_gate() {
               "component-equivalent evals/cycle (budget %.2f) -> %s\n",
               work_per_cycle, kGateMaxWorkPerCycle, settle_ok ? "OK" : "FAIL");
   std::printf("sim_speed gate: fig5_full S=4 event kernel: %.2f "
-              "ticks/cycle (budget %.2f), commit wall share %.1f%% -> %s\n",
+              "ticks/cycle (budget %.2f), commit dispatch share %.1f%% -> %s\n",
               m.ticks, kGateMaxTicksPerCycle, 100.0 * m.commit_share,
               commit_ok ? "OK" : "FAIL");
   if (!settle_ok) {

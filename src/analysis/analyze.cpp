@@ -20,9 +20,11 @@ using netlist::Node;
 using netlist::NodeType;
 
 /// Storage elements cut both handshake directions in the node-granular
-/// model, matching Netlist::validate(): custom nodes are conservatively
-/// combinational, and the MT var-latency fast path (a combinational
-/// bypass) is opt-in at configuration time and invisible statically.
+/// model: custom nodes are conservatively combinational (a factory may
+/// register a pass-through unit, and a falsely accepted storage-free loop
+/// livelocks the simulator), and the MT var-latency fast path (a
+/// combinational bypass) is opt-in at configuration time and invisible
+/// statically.
 bool is_storage(NodeType t) {
   return t == NodeType::kBuffer || t == NodeType::kVarLatency;
 }
@@ -130,6 +132,19 @@ class Analyzer {
     check_capacity();
     if (perf_) check_perf();
     return AnalysisReport(std::move(out_));
+  }
+
+  /// The elaboration_errors() subset of run().
+  std::vector<Diagnostic> run_elaboration_checks() {
+    check_names();
+    if (check_wiring()) {
+      check_comb_cycles();
+      if (net_.is_multithreaded() && mt::is_ready_aware(opt_.arbiter)) {
+        check_reconvergence();
+      }
+    }
+    std::sort(out_.begin(), out_.end(), diagnostic_order);
+    return std::move(out_);
   }
 
  private:
@@ -515,7 +530,7 @@ class Analyzer {
           break;
         case NodeType::kCustom:
           // Conservatively a full combinational crossbar, matching
-          // validate()'s treatment of custom nodes.
+          // is_storage()'s treatment of custom nodes.
           for (const auto& i : in) {
             for (const auto& o : out) {
               if (!i || !o) continue;
@@ -699,6 +714,12 @@ AnalysisReport analyze(const Netlist& net, const AnalysisOptions& options) {
   return Analyzer(net, options).run();
 }
 
+std::vector<Diagnostic> elaboration_errors(const Netlist& net, mt::ArbiterKind arbiter) {
+  AnalysisOptions options;
+  options.arbiter = arbiter;
+  return Analyzer(net, options).run_elaboration_checks();
+}
+
 std::vector<ReconvergentPair> reconvergent_pairs(const Netlist& net) {
   std::vector<ReconvergentPair> pairs;
   const auto& nodes = net.nodes();
@@ -768,16 +789,3 @@ std::vector<ReconvergentPair> reconvergent_pairs(const Netlist& net) {
 }
 
 }  // namespace mte::analysis
-
-// Netlist::analyze lives here (not netlist.cpp) so netlist.hpp only
-// needs forward declarations of the analysis types.
-namespace mte::netlist {
-
-analysis::AnalysisReport Netlist::analyze() const { return analysis::analyze(*this); }
-
-analysis::AnalysisReport Netlist::analyze(
-    const analysis::AnalysisOptions& options) const {
-  return analysis::analyze(*this, options);
-}
-
-}  // namespace mte::netlist

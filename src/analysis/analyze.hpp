@@ -10,10 +10,10 @@
 //               fork, multiple drivers, bad edge refs, duplicate names
 //   MTE010/011  dead components: unreachable from every source /
 //               unable to reach any sink
-//   MTE020      storage-free combinational cycle (node granularity —
-//               matches Netlist::validate()'s conservative model)
+//   MTE020      storage-free combinational cycle (node granularity;
+//               custom nodes conservatively count as combinational)
 //   MTE021      multithreaded fork/join reconvergence under ready-aware
-//               arbitration (the hazard CircuitBuilder::build() rejects)
+//               arbitration
 //   MTE022      cross-component valid/ready feedback at port
 //               granularity: legal but evaluation-order dependent (the
 //               event kernel would demote on it)
@@ -31,6 +31,10 @@
 //               fix-it, informational Bernoulli rate caps, and solver
 //               self-check failures (non-convergence, rejected
 //               optimality certificate)
+//
+// MTE001-006, MTE020 and MTE021 are the elastic rules the synthesis step
+// is defined on; elaboration_errors() runs exactly those, and it is the
+// check Elaboration (and so every CircuitBuilder::elaborate()) applies.
 //
 // The port-granular signal model encodes each component's real
 // combinational dependencies (who reads which wire during eval), taken
@@ -74,6 +78,16 @@ struct AnalysisOptions {
 [[nodiscard]] AnalysisReport analyze(const netlist::Netlist& net,
                                      const AnalysisOptions& options = {});
 
+/// Whether `net` can be elaborated under `arbiter`: the MTE001-006
+/// wiring and name checks, MTE020 storage-free cycles and, for a
+/// multithreaded netlist under a ready-aware arbiter, MTE021 fork/join
+/// reconvergence — the same checks analyze() runs, with the same
+/// diagnostics, in report order. Empty means Elaboration accepts the
+/// netlist. The other findings stay with analyze(): a dead or
+/// deadlocking netlist still elaborates and simulates.
+[[nodiscard]] std::vector<Diagnostic> elaboration_errors(
+    const netlist::Netlist& net, mt::ArbiterKind arbiter = mt::ArbiterKind::kRoundRobin);
+
 /// A fork whose arms reconverge at a join: two or more of the join's
 /// inputs are fed through distinct paths from the same fork. Computed
 /// for any netlist (the multithreaded gate and the hazard severity live
@@ -84,8 +98,8 @@ struct ReconvergentPair {
   std::size_t join_id = 0;
 };
 
-/// Shared implementation behind Netlist::mt_reconvergence_hazards(),
-/// the MTE021 check and the MTE031 slack check.
+/// Shared implementation behind the MTE021 hazard check and the MTE031
+/// slack check.
 [[nodiscard]] std::vector<ReconvergentPair> reconvergent_pairs(
     const netlist::Netlist& net);
 

@@ -188,12 +188,12 @@ std::unique_ptr<WorkloadSession> session_deadlock(const SweepPoint& p,
                                                   sim::Cycle /*cycles*/,
                                                   std::uint64_t /*seed*/) {
   netlist::Netlist n;
-  const auto src = n.add_source("src");
-  const auto j = n.add_join("j", 2);
-  const auto b0 = n.add_buffer("b0");
-  const auto f = n.add_fork("f", 2);
-  const auto snk = n.add_sink("snk");
-  const auto b1 = n.add_buffer("b1");
+  const auto src = n.add(netlist::Node::source("src"));
+  const auto j = n.add(netlist::Node::join("j", 2));
+  const auto b0 = n.add(netlist::Node::buffer("b0"));
+  const auto f = n.add(netlist::Node::fork("f", 2));
+  const auto snk = n.add(netlist::Node::sink("snk"));
+  const auto b1 = n.add(netlist::Node::buffer("b1"));
   n.connect(src, 0, j, 0);
   n.connect(j, 0, b0, 0);
   n.connect(b0, 0, f, 0);
@@ -231,12 +231,12 @@ StaticModel netlist_fig5(const SweepPoint& p) {
 
 StaticModel netlist_deadlock(const SweepPoint& p) {
   netlist::Netlist n;
-  const auto src = n.add_source("src");
-  const auto j = n.add_join("j", 2);
-  const auto b0 = n.add_buffer("b0");
-  const auto f = n.add_fork("f", 2);
-  const auto snk = n.add_sink("snk");
-  const auto b1 = n.add_buffer("b1");
+  const auto src = n.add(netlist::Node::source("src"));
+  const auto j = n.add(netlist::Node::join("j", 2));
+  const auto b0 = n.add(netlist::Node::buffer("b0"));
+  const auto f = n.add(netlist::Node::fork("f", 2));
+  const auto snk = n.add(netlist::Node::sink("snk"));
+  const auto b1 = n.add(netlist::Node::buffer("b1"));
   n.connect(src, 0, j, 0);
   n.connect(j, 0, b0, 0);
   n.connect(b0, 0, f, 0);

@@ -1,7 +1,5 @@
 #include "netlist/builder.hpp"
 
-#include <algorithm>
-
 namespace mte::netlist {
 
 // --- NodeRef ----------------------------------------------------------------
@@ -246,73 +244,48 @@ CircuitBuilder& CircuitBuilder::then_multithreaded(std::size_t threads,
   return *this;
 }
 
-Netlist CircuitBuilder::build() const { return build_checked(true); }
-
-analysis::AnalysisReport CircuitBuilder::analyze(
-    const analysis::AnalysisOptions& options) const {
-  if (multithreaded_) {
-    return analysis::analyze(netlist_.to_multithreaded(threads_, meb_kind_), options);
-  }
-  return analysis::analyze(netlist_, options);
+Netlist CircuitBuilder::transformed() const {
+  return multithreaded_ ? netlist_.to_multithreaded(threads_, meb_kind_) : netlist_;
 }
 
-Netlist CircuitBuilder::build_checked(bool reject_reconvergence) const {
-  const auto problems = netlist_.validate();
-  if (!problems.empty()) {
-    std::string message = "netlist invalid:";
-    for (const auto& p : problems) message += "\n  - " + p;
-    throw BuildError(message);
-  }
-  Netlist result =
-      multithreaded_ ? netlist_.to_multithreaded(threads_, meb_kind_) : netlist_;
-  if (reject_reconvergence) {
-    // The static-analysis gate: build() refuses error-severity
-    // diagnostics (warnings and notes stay queryable through analyze()).
-    // The analyzer assumes the default ready-aware arbiter here, exactly
-    // like the legacy hazard rejection it replaces — elaborate() skips
-    // the gate and defers to Elaboration, which knows the real arbiter.
-    const analysis::AnalysisReport report = analysis::analyze(result);
-    if (report.has_errors()) {
-      const auto errors = report.by_severity(analysis::Severity::kError);
-      const bool cyclic =
-          std::any_of(errors.begin(), errors.end(),
-                      [](const analysis::Diagnostic& d) { return d.code == "MTE021"; });
-      std::string message = cyclic ? "multithreaded netlist is combinationally cyclic:"
-                                   : "netlist analysis found errors:";
-      for (const auto& d : errors) {
-        message += "\n  - [" + d.code + "] ";
-        if (!d.component.empty()) message += d.component + ": ";
-        message += d.message;
-      }
-      if (cyclic) {
-        message +=
-            "\n(elaborate with ElaborationOptions{.arbiter = "
-            "mt::ArbiterKind::kOblivious} to make fork/join reconvergence "
-            "safe by construction)";
-      }
-      throw BuildError(message);
+Netlist CircuitBuilder::build() const {
+  Netlist result = transformed();
+  // The static-analysis gate: build() refuses error-severity diagnostics
+  // (warnings and notes stay queryable through analyze()). The analyzer
+  // assumes the default ready-aware arbiter here; elaborate() skips the
+  // gate and leaves the decision to Elaboration, which knows the real
+  // arbiter.
+  const analysis::AnalysisReport report = analysis::analyze(result);
+  if (report.has_errors()) {
+    std::string message = "netlist analysis found errors:";
+    for (const auto& d : report.by_severity(analysis::Severity::kError)) {
+      message += "\n  - [" + d.code + "] ";
+      if (!d.component.empty()) message += d.component + ": ";
+      message += d.message;
+      if (!d.hint.empty()) message += " (hint: " + d.hint + ")";
     }
+    throw BuildError(message);
   }
   return result;
 }
 
-// The elaborate() overloads skip build()'s reconvergence rejection: the
-// Elaboration constructor is the single authority on that hazard (it
-// knows the arbiter — under the oblivious TDM arbiter reconvergence is
-// legal), and running the ancestor scan once instead of twice matters
-// for DSE campaigns that elaborate thousands of points.
+analysis::AnalysisReport CircuitBuilder::analyze(
+    const analysis::AnalysisOptions& options) const {
+  return analysis::analyze(transformed(), options);
+}
+
 Elaboration CircuitBuilder::elaborate() const {
-  return Elaboration(build_checked(false), FunctionRegistry::with_defaults());
+  return Elaboration(transformed(), FunctionRegistry::with_defaults());
 }
 
 Elaboration CircuitBuilder::elaborate(const FunctionRegistry& registry) const {
-  return Elaboration(build_checked(false), registry);
+  return Elaboration(transformed(), registry);
 }
 
 Elaboration CircuitBuilder::elaborate(const FunctionRegistry& registry,
                                       const ComponentFactory& factory,
                                       ElaborationOptions options) const {
-  return Elaboration(build_checked(false), registry, factory, options);
+  return Elaboration(transformed(), registry, factory, options);
 }
 
 CircuitBuilder CircuitBuilder::from(const Netlist& netlist) {

@@ -19,8 +19,8 @@
 // (`src1 >> join; src2 >> join;`). Explicit ports are always available:
 // `br.when_false() >> merge.in(1)`.
 //
-// The legacy Netlist::add_*/connect(id, port, id, port) methods remain as
-// a thin compatibility layer over the same construction path.
+// The builder rides on Netlist::add(Node::...)/connect(id, port, id,
+// port), the plain id-based construction path the .enl parser also uses.
 #pragma once
 
 #include <stdexcept>
@@ -139,10 +139,10 @@ class CircuitBuilder {
 
   // --- outputs ------------------------------------------------------------
   /// Returns the finished netlist (with the multithreaded transform
-  /// applied, when requested). Throws BuildError when structural
-  /// validation fails or the static analyzer reports error-severity
-  /// diagnostics (e.g. a bufferless cycle, a dangling port, a deadlocked
-  /// join loop, or multithreaded fork/join reconvergence).
+  /// applied, when requested). Throws BuildError when the static analyzer
+  /// reports error-severity diagnostics (e.g. a bufferless cycle, a
+  /// dangling port, a deadlocked join loop, or multithreaded fork/join
+  /// reconvergence under the default ready-aware arbiter).
   [[nodiscard]] Netlist build() const;
 
   /// The full static-analysis report for the netlist as described (with
@@ -152,7 +152,10 @@ class CircuitBuilder {
   [[nodiscard]] analysis::AnalysisReport analyze(
       const analysis::AnalysisOptions& options = {}) const;
 
-  /// build() + elaborate in one step.
+  /// Elaborates the netlist as described (with the multithreaded
+  /// transform applied, when requested). Skips build()'s analyzer gate:
+  /// Elaboration applies analysis::elaboration_errors under the real
+  /// arbiter and throws ElaborationError on a design it cannot elaborate.
   [[nodiscard]] Elaboration elaborate() const;
   [[nodiscard]] Elaboration elaborate(const FunctionRegistry& registry) const;
   [[nodiscard]] Elaboration elaborate(const FunctionRegistry& registry,
@@ -174,10 +177,9 @@ class CircuitBuilder {
  private:
   NodeRef add(Node spec);
   void check_ref(const PortRef& ref) const;
-  /// build() with the MT reconvergence rejection optional: the oblivious
-  /// arbiter makes reconvergent structures legal, so elaborate() defers
-  /// that decision to Elaboration when it knows the arbiter.
-  [[nodiscard]] Netlist build_checked(bool reject_reconvergence) const;
+  /// The netlist as described, with the multithreaded transform applied
+  /// when requested; unchecked.
+  [[nodiscard]] Netlist transformed() const;
 
   Netlist netlist_;
   std::map<std::string, std::size_t> by_name_;

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/analyze.hpp"
 #include "elastic/channel.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/protocol_monitor.hpp"
@@ -50,22 +51,21 @@ Elaboration::Elaboration(const Netlist& netlist, const FunctionRegistry& registr
 
 Elaboration::Elaboration(const Netlist& netlist, const FunctionRegistry& registry,
                          const ComponentFactory& factory, ElaborationOptions options) {
-  const auto problems = netlist.validate();
-  if (!problems.empty()) {
-    throw ElaborationError("netlist invalid: " + problems.front());
-  }
-  // Reconvergence hazards are cycles through *speculative* (ready-aware)
-  // arbitration; the oblivious TDM arbiter's grants are independent of
-  // ready, so under it the structure is acyclic and legal.
-  if (options.arbiter != mt::ArbiterKind::kOblivious) {
-    const auto hazards = netlist.mt_reconvergence_hazards();
-    if (!hazards.empty()) {
-      throw ElaborationError(
-          "multithreaded netlist is combinationally cyclic: " +
-          hazards.front().describe() +
-          " (elaborate with ArbiterKind::kOblivious to make fork/join "
-          "reconvergence safe by construction)");
+  // The arbiter matters: MT fork/join reconvergence closes a cycle only
+  // through speculative (ready-aware) arbitration, so the same netlist is
+  // legal under the oblivious TDM arbiter.
+  const auto errors = analysis::elaboration_errors(netlist, options.arbiter);
+  if (!errors.empty()) {
+    const analysis::Diagnostic& d = errors.front();
+    std::string what = "netlist cannot be elaborated: [" + d.code + "] ";
+    if (!d.component.empty()) {
+      what += d.component;
+      if (!d.port.empty()) what += ' ' + d.port;
+      what += ": ";
     }
+    what += d.message;
+    if (!d.hint.empty()) what += " (hint: " + d.hint + ")";
+    throw ElaborationError(what);
   }
   options_ = options;
   sim_.set_kernel(options.kernel);

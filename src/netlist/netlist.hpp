@@ -6,9 +6,12 @@
 // elastic channels. A single-thread netlist can be *transformed* into a
 // multithreaded one (to_multithreaded): buffers become MEBs (full or
 // reduced) and the operators become their M- variants — this is the
-// synthesis step the paper's primitives enable. The netlist validates
-// structural rules (port arities, single driver/reader per port, at
-// least one buffer on every cycle) and elaborates into a live Simulator.
+// synthesis step the paper's primitives enable. The netlist itself only
+// records structure: the elastic rules it must follow (single driver and
+// reader per port, a buffer on every cycle, no MT fork/join
+// reconvergence under speculative arbitration) are checked by
+// src/analysis (analyze(), elaboration_errors()), and Elaboration turns
+// it into a live Simulator.
 #pragma once
 
 #include <cstdint>
@@ -16,11 +19,6 @@
 #include <vector>
 
 #include "mt/meb_variant.hpp"
-
-namespace mte::analysis {
-struct AnalysisOptions;
-class AnalysisReport;
-}  // namespace mte::analysis
 
 namespace mte::netlist {
 
@@ -41,7 +39,7 @@ enum class NodeType {
 
 /// Sanity bound on node arities, shared by every construction path
 /// (CircuitBuilder, the .enl parser): keeps a malformed count from
-/// exploding validation or elaboration.
+/// exploding analysis or elaboration.
 inline constexpr unsigned kMaxPorts = 1024;
 
 struct Node {
@@ -57,7 +55,8 @@ struct Node {
   double rate = 1.0;           ///< kSource injection / kSink readiness rate
 
   // Canonical per-type specs — the one place each node type's arity and
-  // attribute layout is defined. Used by Netlist::add_* and CircuitBuilder.
+  // attribute layout is defined. Used with Netlist::add, by CircuitBuilder
+  // and by the .enl parser.
   [[nodiscard]] static Node source(const std::string& name, double rate = 1.0);
   [[nodiscard]] static Node sink(const std::string& name, double rate = 1.0);
   [[nodiscard]] static Node buffer(const std::string& name);
@@ -80,43 +79,12 @@ struct Edge {
   unsigned to_port = 0;
 };
 
-/// A fork whose arms reconverge at a join in a *multithreaded* netlist.
-/// The M-Join derives each input's ready from the peer input's valid
-/// (lazy join) while speculative MEB/source arbitration makes valid
-/// depend on downstream ready, so two paths from one fork meeting at one
-/// join close a genuine combinational valid/ready cycle that can
-/// oscillate. Single-thread netlists have no such coupling (buffer and
-/// source valids are state-driven), so the pattern is only diagnosed
-/// after to_multithreaded().
-struct ReconvergenceHazard {
-  std::size_t fork_id = 0;
-  std::size_t join_id = 0;
-  std::string fork;  ///< node names, ready for diagnostics
-  std::string join;
-
-  [[nodiscard]] std::string describe() const;
-};
-
 class Netlist {
  public:
   /// The single construction entry point: appends a fully described node
-  /// and returns its id (the spec's id field is overwritten). All other
-  /// add_* methods — and CircuitBuilder — funnel through here.
+  /// (usually one of the Node:: specs) and returns its id (the spec's id
+  /// field is overwritten). CircuitBuilder funnels through here too.
   std::size_t add(Node spec);
-
-  // Thin compatibility layer over the builder-style add(); prefer
-  // CircuitBuilder (netlist/builder.hpp) for new code.
-  std::size_t add_source(const std::string& name, double rate = 1.0);
-  std::size_t add_sink(const std::string& name, double rate = 1.0);
-  std::size_t add_buffer(const std::string& name);
-  std::size_t add_fork(const std::string& name, unsigned outputs);
-  std::size_t add_join(const std::string& name, unsigned inputs);
-  std::size_t add_merge(const std::string& name, unsigned inputs);
-  std::size_t add_branch(const std::string& name, const std::string& predicate);
-  std::size_t add_function(const std::string& name, const std::string& fn);
-  std::size_t add_var_latency(const std::string& name, unsigned lo, unsigned hi);
-  std::size_t add_custom(const std::string& name, const std::string& kind,
-                         unsigned inputs, unsigned outputs);
 
   /// Connects from:from_port -> to:to_port. Ports are 0-based.
   void connect(std::size_t from, unsigned from_port, std::size_t to, unsigned to_port);
@@ -132,24 +100,6 @@ class Netlist {
   /// True after to_multithreaded(): elaborates to MEBs and M- operators
   /// even for the degenerate S == 1 design point.
   [[nodiscard]] bool is_multithreaded() const noexcept { return multithreaded_; }
-
-  /// Structural validation; returns human-readable problems (empty = OK).
-  [[nodiscard]] std::vector<std::string> validate() const;
-
-  /// The full static analysis suite (analysis/analyze.hpp): structured
-  /// MTExxx diagnostics over wiring, liveness, combinational cycles,
-  /// structural deadlock, MT reconvergence and capacity sanity.
-  /// validate() remains the cheap string-based subset used on the
-  /// elaboration hot path; analyze() is the authoritative report.
-  [[nodiscard]] analysis::AnalysisReport analyze() const;
-  [[nodiscard]] analysis::AnalysisReport analyze(
-      const analysis::AnalysisOptions& options) const;
-
-  /// Fork/join reconvergence diagnosis for multithreaded netlists (always
-  /// empty before to_multithreaded()). One entry per (fork, join) pair
-  /// with two or more distinct connecting paths. CircuitBuilder::build()
-  /// and Elaboration refuse netlists with hazards.
-  [[nodiscard]] std::vector<ReconvergenceHazard> mt_reconvergence_hazards() const;
 
   /// Number of nodes of a given type.
   [[nodiscard]] std::size_t count(NodeType type) const;

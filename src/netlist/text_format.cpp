@@ -124,37 +124,37 @@ Netlist parse_netlist(const std::string& text) {
       if (toks.size() < 2 || toks.size() > 3) fail(line_no, kw + " <name> [rate=r]");
       const double rate = toks.size() == 3 ? parse_rate(toks[2], line_no) : 1.0;
       declare(toks[1],
-              kw == "source" ? n.add_source(toks[1], rate) : n.add_sink(toks[1], rate),
+              n.add(kw == "source" ? Node::source(toks[1], rate) : Node::sink(toks[1], rate)),
               line_no);
     } else if (kw == "buffer") {
       want(2);
-      declare(toks[1], n.add_buffer(toks[1]), line_no);
+      declare(toks[1], n.add(Node::buffer(toks[1])), line_no);
     } else if (kw == "fork" || kw == "join" || kw == "merge") {
       want(3);
       const unsigned arity = parse_arity(toks[2], line_no);
       if (arity < 2) fail(line_no, kw + " arity must be >= 2");
       std::size_t id = 0;
-      if (kw == "fork") id = n.add_fork(toks[1], arity);
-      else if (kw == "join") id = n.add_join(toks[1], arity);
-      else id = n.add_merge(toks[1], arity);
+      if (kw == "fork") id = n.add(Node::fork(toks[1], arity));
+      else if (kw == "join") id = n.add(Node::join(toks[1], arity));
+      else id = n.add(Node::merge(toks[1], arity));
       declare(toks[1], id, line_no);
     } else if (kw == "branch") {
       want(3);
-      declare(toks[1], n.add_branch(toks[1], toks[2]), line_no);
+      declare(toks[1], n.add(Node::branch(toks[1], toks[2])), line_no);
     } else if (kw == "function") {
       want(3);
-      declare(toks[1], n.add_function(toks[1], toks[2]), line_no);
+      declare(toks[1], n.add(Node::function(toks[1], toks[2])), line_no);
     } else if (kw == "var_latency") {
       want(4);
       const auto lo = static_cast<unsigned>(parse_uint(toks[2], line_no, 1u << 20, "latency"));
       const auto hi = static_cast<unsigned>(parse_uint(toks[3], line_no, 1u << 20, "latency"));
       if (lo == 0 || hi < lo) fail(line_no, "bad latency range");
-      declare(toks[1], n.add_var_latency(toks[1], lo, hi), line_no);
+      declare(toks[1], n.add(Node::var_latency(toks[1], lo, hi)), line_no);
     } else if (kw == "custom") {
       want(5);
       const unsigned ins = parse_arity(toks[3], line_no);
       const unsigned outs = parse_arity(toks[4], line_no);
-      declare(toks[1], n.add_custom(toks[1], toks[2], ins, outs), line_no);
+      declare(toks[1], n.add(Node::custom(toks[1], toks[2], ins, outs)), line_no);
     } else if (kw == "connect") {
       // "connect a:0 -> b:1" or "connect a:0 b:1".
       if (toks.size() != 3 && !(toks.size() == 4 && toks[2] == "->")) {

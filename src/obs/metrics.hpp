@@ -11,8 +11,6 @@
 //   sim.ticks                       tick() dispatches (commit work)
 //   sim.elided_ticks                commits skipped by tick elision
 //   sim.demoted_to_naive            0/1: event kernel fell back to naive
-//   sim.settle_seconds              } wall clock, only meaningful with
-//   sim.commit_seconds              } Simulator::set_phase_timing(true)
 //   component.<name>.evals          per-component eval dispatches
 //   component.<name>.ticks          per-component tick dispatches
 //   channel.<name>.transfers        ChannelProbe: completed handshakes
@@ -23,6 +21,8 @@
 //   profile.<type>.ticks            profiler: tick calls per component type
 //   profile.<type>.settle_seconds   profiler: sampled settle wall time
 //   profile.<type>.commit_seconds   profiler: sampled commit wall time
+//                                   (the only wall-clock rows: attach a
+//                                   PhaseProfiler to time the phases)
 //   trace.events / trace.dropped    TraceSession occupancy
 //
 // The registry is PULL-based: producers register a source callback that

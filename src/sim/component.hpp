@@ -101,8 +101,8 @@ class Component {
   /// must write a disjoint wire set and be a pure function of registered
   /// state and the wires it reads (the kernel discovers the read set per
   /// process, exactly as it does per component). Must be in
-  /// [1, kMaxProcesses] and may only change while the component has no
-  /// materialized kernel state (set_process_split handles that).
+  /// [1, kMaxProcesses] and constant for the component's lifetime: the
+  /// kernel materializes the process slots once.
   [[nodiscard]] virtual std::size_t process_count() const noexcept { return 1; }
 
   /// Evaluates one process; eval_process(i) for all i must together
@@ -140,15 +140,6 @@ class Component {
   /// nothing (the default-false hint skips the virtual query entirely).
   [[nodiscard]] bool tick_idle_hint() const noexcept { return tick_idle_hint_; }
 
-  /// Enables/disables multi-process evaluation for components that
-  /// support it (TwoPhaseComponent); single-process components ignore
-  /// the flag. Disabling reverts to the legacy one-process-per-component
-  /// graph — used to exercise mixed (partially migrated) netlists.
-  /// Invalidates the simulator's materialized kernel state, so it is
-  /// cheap before the first settle and costs a re-levelization after.
-  void set_process_split(bool enabled);
-  [[nodiscard]] bool process_split_enabled() const noexcept { return process_split_; }
-
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] Simulator& sim() const noexcept { return *sim_; }
 
@@ -185,7 +176,6 @@ class Component {
 
   Simulator* sim_;
   std::string name_;
-  bool process_split_ = true;
   bool tick_idle_hint_ = false;
 
   // --- event-kernel bookkeeping (owned by Simulator) ------------------------
@@ -210,25 +200,17 @@ inline constexpr std::uint32_t kBackwardBit = 1u << kBackwardProcess;
 /// instead of eval() (and befriends this base so they can stay private);
 /// CRTP lets the single eval_process() dispatch inline both phase bodies
 /// — the settle loop pays one virtual call per scheduled unit, same as a
-/// plain component. The split can be turned off per instance
-/// (set_process_split(false)), which collapses the component back to one
-/// process running the full eval — the legacy graph shape, kept
-/// exercisable for mixed netlists.
+/// plain component.
 template <typename Derived>
 class TwoPhaseComponent : public Component {
  public:
   using Component::Component;
 
-  [[nodiscard]] std::size_t process_count() const noexcept final {
-    return process_split_enabled() ? 2 : 1;
-  }
+  [[nodiscard]] std::size_t process_count() const noexcept final { return 2; }
 
   void eval_process(std::size_t process) final {
     Derived& d = static_cast<Derived&>(*this);
-    if (!process_split_enabled()) {
-      d.eval_forward();
-      d.eval_backward();
-    } else if (process == kForwardProcess) {
+    if (process == kForwardProcess) {
       d.eval_forward();
     } else {
       d.eval_backward();

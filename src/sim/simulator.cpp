@@ -35,12 +35,6 @@ Component::~Component() {
   if (sim_ != nullptr) sim_->unregister_component(*this);
 }
 
-void Component::set_process_split(bool enabled) {
-  if (process_split_ == enabled) return;
-  process_split_ = enabled;
-  if (sim_ != nullptr) sim_->invalidate_processes(*this);
-}
-
 Simulator::Simulator(KernelKind kernel) : kernel_(kernel) {
   tracker_.set_event_mode(kernel_ == KernelKind::kEventDriven);
   // The registry outlives nothing that feeds this source: the lambda reads
@@ -59,8 +53,6 @@ void Simulator::emit_sim_metrics(obs::MetricsSink& sink) const {
   sink.counter("sim.elided_ticks", elided_tick_count_, MetricCategory::kKernel);
   sink.counter("sim.demoted_to_naive", demoted_to_naive_ ? 1 : 0,
                MetricCategory::kKernel);
-  sink.gauge("sim.settle_seconds", settle_seconds_, MetricCategory::kTiming);
-  sink.gauge("sim.commit_seconds", commit_seconds_, MetricCategory::kTiming);
   for (const Component* c : components_) {
     sink.counter("component." + c->name() + ".evals", c->kernel_eval_calls(),
                  MetricCategory::kKernel);
@@ -104,18 +96,14 @@ void Simulator::unregister_component(Component& c) noexcept {
   if (tearing_down_) return;
   const auto it = std::find(components_.begin(), components_.end(), &c);
   if (it != components_.end()) components_.erase(it);
-  invalidate_processes(c);
-  seq_cache_valid_ = false;
-}
-
-void Simulator::invalidate_processes(Component& c) noexcept {
-  // Pending bucket entries may point into c's slots: drain them first
-  // (forget() only scrubs the tracker-side worklist).
+  // Pending bucket entries may point into c's process slots: drain them
+  // first (forget() only scrubs the tracker-side worklist).
   clear_pending();
   tracker_.forget(c);
   c.kernel_procs_.reset();
   c.kernel_proc_count_ = 0;
   c.kernel_seed_mask_ = Component::kAllProcesses;
+  seq_cache_valid_ = false;
   levels_valid_ = false;
   full_eval_pending_ = true;
 }
@@ -660,7 +648,6 @@ void Simulator::restore(std::istream& is) {
 }
 
 void Simulator::step() {
-  using clock = std::chrono::steady_clock;
   // Trace bookkeeping: this cycle's activity is the counter deltas.
   std::uint64_t trace_evals0 = 0;
   std::uint64_t trace_ticks0 = 0;
@@ -672,8 +659,6 @@ void Simulator::step() {
     trace_elided0 = elided_tick_count_;
     was_demoted = demoted_to_naive_;
   }
-  clock::time_point t0{};
-  if (phase_timing_) t0 = clock::now();
   settle();
   for (const auto& fn : observers_) fn(cycle_);
   if (injector_ != nullptr && injector_->apply(cycle_)) {
@@ -690,11 +675,6 @@ void Simulator::step() {
         "Simulator::set_watchdog is armed but no ProtocolMonitor is "
         "attached; the watchdog takes its progress signal from the "
         "monitor's transfer count");
-  }
-  clock::time_point t1{};
-  if (phase_timing_) {
-    t1 = clock::now();
-    settle_seconds_ += std::chrono::duration<double>(t1 - t0).count();
   }
   if (kernel_ == KernelKind::kNaive) {
     if (profiler_ == nullptr) {
@@ -744,9 +724,6 @@ void Simulator::step() {
       ++tick_count_;
     }
     seed_seq_pending_ = true;
-  }
-  if (phase_timing_) {
-    commit_seconds_ += std::chrono::duration<double>(clock::now() - t1).count();
   }
   if (trace_ != nullptr) {
     trace_->record_cycle(cycle_, eval_count_ - trace_evals0,

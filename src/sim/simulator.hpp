@@ -129,11 +129,6 @@ class Simulator {
   /// it. Called automatically by the Component dtor.
   void unregister_component(Component& c) noexcept;
 
-  /// Drops the materialized process slots (and every sensitivity record)
-  /// of `c` so the next settle re-materializes them — called when a
-  /// component's process layout changes (Component::set_process_split).
-  void invalidate_processes(Component& c) noexcept;
-
   /// The registered components, in registration order.
   [[nodiscard]] const std::vector<Component*>& components() const noexcept {
     return components_;
@@ -176,7 +171,7 @@ class Simulator {
   /// a CRC'd length-checked frame), tick-elision idle hints, the demotion
   /// flag, and the cycle count — in the versioned little-endian snapshot
   /// format (sim/snapshot.hpp). Diagnostics counters (eval/tick counts,
-  /// settle work, phase timings) are not part of the snapshot.
+  /// settle work) and profiler samples are not part of the snapshot.
   /// Call between steps on settled state (save right after step()/run()).
   void save(std::ostream& os) const;
 
@@ -247,15 +242,6 @@ class Simulator {
   /// tick/cycle is the machine-independent measure of commit-phase cost
   /// the sim-speed gate budgets alongside settle work.
   [[nodiscard]] std::uint64_t tick_count() const noexcept { return tick_count_; }
-
-  /// Opt-in per-phase wall-clock accounting: when enabled, each step()
-  /// separately accumulates the settle (eval fixed point + observers) and
-  /// commit (tick sweep) durations. Off by default — it costs two clock
-  /// reads per cycle — and meant for profiling runs (bench_sim_speed's
-  /// commit-share rows), not timed comparisons.
-  void set_phase_timing(bool on) noexcept { phase_timing_ = on; }
-  [[nodiscard]] double settle_seconds() const noexcept { return settle_seconds_; }
-  [[nodiscard]] double commit_seconds() const noexcept { return commit_seconds_; }
 
   // --- observability --------------------------------------------------------
   /// The simulator's metrics registry. The simulator itself registers one
@@ -351,9 +337,6 @@ class Simulator {
   double settle_work_ = 0.0;
   std::uint64_t elided_tick_count_ = 0;
   std::uint64_t tick_count_ = 0;
-  bool phase_timing_ = false;
-  double settle_seconds_ = 0.0;
-  double commit_seconds_ = 0.0;
   obs::MetricsRegistry metrics_;
   obs::PhaseProfiler* profiler_ = nullptr;
   obs::TraceSession* trace_ = nullptr;

@@ -85,8 +85,7 @@ class ChangeTracker {
   [[nodiscard]] const std::vector<WireBase*>& wires() const noexcept { return wires_; }
 
   /// Drops every sensitivity record that mentions a process of `c`
-  /// (called when a component is destroyed, unregistered mid-run, or its
-  /// process layout is invalidated).
+  /// (called when a component is destroyed or unregistered mid-run).
   void forget(Component& c);
 
  private:

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "analysis/analyze.hpp"
 #include "netlist/builder.hpp"
@@ -18,6 +19,7 @@ using analysis::AnalysisOptions;
 using analysis::AnalysisReport;
 using analysis::analyze;
 using netlist::Netlist;
+using netlist::Node;
 
 std::size_t count_code(const AnalysisReport& report, const std::string& code) {
   std::size_t n = 0;
@@ -34,9 +36,9 @@ bool has_code(const AnalysisReport& report, const std::string& code) {
 /// src -> b0 -> snk, the smallest clean pipeline.
 Netlist clean_pipeline() {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto b0 = n.add_buffer("b0");
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto b0 = n.add(Node::buffer("b0"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, b0, 0);
   n.connect(b0, 0, snk, 0);
   return n;
@@ -45,16 +47,16 @@ Netlist clean_pipeline() {
 /// fork -> {arm a with `buffers_a` EBs, arm b with `buffers_b` EBs} -> join.
 Netlist diamond(unsigned buffers_a, unsigned buffers_b) {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto f = n.add_fork("f", 2);
-  const auto j = n.add_join("j", 2);
-  const auto bo = n.add_buffer("bo");
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto f = n.add(Node::fork("f", 2));
+  const auto j = n.add(Node::join("j", 2));
+  const auto bo = n.add(Node::buffer("bo"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, f, 0);
   std::size_t tail = f;
   unsigned tail_port = 0;
   for (unsigned i = 0; i < buffers_a; ++i) {
-    const auto b = n.add_buffer("a" + std::to_string(i));
+    const auto b = n.add(Node::buffer("a" + std::to_string(i)));
     n.connect(tail, tail_port, b, 0);
     tail = b;
     tail_port = 0;
@@ -63,7 +65,7 @@ Netlist diamond(unsigned buffers_a, unsigned buffers_b) {
   tail = f;
   tail_port = 1;
   for (unsigned i = 0; i < buffers_b; ++i) {
-    const auto b = n.add_buffer("b" + std::to_string(i));
+    const auto b = n.add(Node::buffer("b" + std::to_string(i)));
     n.connect(tail, tail_port, b, 0);
     tail = b;
     tail_port = 0;
@@ -82,8 +84,8 @@ TEST(Analyze, CleanPipelineHasNoDiagnostics) {
 
 TEST(Analyze, Mte001UnconnectedOutput) {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto b0 = n.add_buffer("b0");
+  const auto src = n.add(Node::source("src"));
+  const auto b0 = n.add(Node::buffer("b0"));
   n.connect(src, 0, b0, 0);  // b0's output dangles
   const auto report = analyze(n);
   EXPECT_EQ(count_code(report, "MTE001"), 1u);
@@ -92,17 +94,17 @@ TEST(Analyze, Mte001UnconnectedOutput) {
 
 TEST(Analyze, Mte002UndrivenInput) {
   Netlist n;
-  const auto b0 = n.add_buffer("b0");
-  const auto snk = n.add_sink("snk");
+  const auto b0 = n.add(Node::buffer("b0"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(b0, 0, snk, 0);  // b0's input is undriven
   EXPECT_EQ(count_code(analyze(n), "MTE002"), 1u);
 }
 
 TEST(Analyze, Mte003IllegalFanout) {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto s0 = n.add_sink("s0");
-  const auto s1 = n.add_sink("s1");
+  const auto src = n.add(Node::source("src"));
+  const auto s0 = n.add(Node::sink("s0"));
+  const auto s1 = n.add(Node::sink("s1"));
   n.connect(src, 0, s0, 0);
   n.connect(src, 0, s1, 0);
   const auto report = analyze(n);
@@ -112,9 +114,9 @@ TEST(Analyze, Mte003IllegalFanout) {
 
 TEST(Analyze, Mte004MultipleDrivers) {
   Netlist n;
-  const auto s0 = n.add_source("s0");
-  const auto s1 = n.add_source("s1");
-  const auto snk = n.add_sink("snk");
+  const auto s0 = n.add(Node::source("s0"));
+  const auto s1 = n.add(Node::source("s1"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(s0, 0, snk, 0);
   n.connect(s1, 0, snk, 0);
   EXPECT_EQ(count_code(analyze(n), "MTE004"), 1u);
@@ -122,23 +124,23 @@ TEST(Analyze, Mte004MultipleDrivers) {
 
 TEST(Analyze, Mte005BadEdgeReference) {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 3, snk, 0);  // src has one output port
   EXPECT_GE(count_code(analyze(n), "MTE005"), 1u);
 
   Netlist m;
-  m.add_source("src");
+  m.add(Node::source("src"));
   m.connect(0, 0, 99, 0);  // node 99 does not exist
   EXPECT_GE(count_code(analyze(m), "MTE005"), 1u);
 }
 
 TEST(Analyze, Mte006DuplicateName) {
   Netlist n;
-  const auto a = n.add_buffer("dup");
-  const auto b = n.add_buffer("dup");
-  const auto src = n.add_source("src");
-  const auto snk = n.add_sink("snk");
+  const auto a = n.add(Node::buffer("dup"));
+  const auto b = n.add(Node::buffer("dup"));
+  const auto src = n.add(Node::source("src"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, a, 0);
   n.connect(a, 0, b, 0);
   n.connect(b, 0, snk, 0);
@@ -147,8 +149,8 @@ TEST(Analyze, Mte006DuplicateName) {
 
 TEST(Analyze, Mte010Mte011DeadRing) {
   Netlist n = clean_pipeline();
-  const auto d0 = n.add_buffer("d0");
-  const auto d1 = n.add_buffer("d1");
+  const auto d0 = n.add(Node::buffer("d0"));
+  const auto d1 = n.add(Node::buffer("d1"));
   n.connect(d0, 0, d1, 0);
   n.connect(d1, 0, d0, 0);
   const auto report = analyze(n);
@@ -159,11 +161,11 @@ TEST(Analyze, Mte010Mte011DeadRing) {
 
 TEST(Analyze, Mte020BufferlessLoop) {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto m = n.add_merge("m", 2);
-  const auto inc = n.add_function("inc", "inc");
-  const auto br = n.add_branch("br", "even");
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto m = n.add(Node::merge("m", 2));
+  const auto inc = n.add(Node::function("inc", "inc"));
+  const auto br = n.add(Node::branch("br", "even"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, m, 0);
   n.connect(m, 0, inc, 0);
   n.connect(inc, 0, br, 0);
@@ -176,11 +178,11 @@ TEST(Analyze, BufferedMergeLoopIsLegal) {
   // The same loop with one EB on the path: storage breaks MTE020, and a
   // merge re-entry (fires on either input) is not a lazy-join deadlock.
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto m = n.add_merge("m", 2);
-  const auto b = n.add_buffer("b");
-  const auto br = n.add_branch("br", "even");
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto m = n.add(Node::merge("m", 2));
+  const auto b = n.add(Node::buffer("b"));
+  const auto br = n.add(Node::branch("br", "even"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, m, 0);
   n.connect(m, 0, b, 0);
   n.connect(b, 0, br, 0);
@@ -215,13 +217,13 @@ TEST(Analyze, Mte022SpeculativeFeedbackWithoutFork) {
   // join) pair, so MTE021 cannot fire — the signal-graph SCC check
   // catches the same valid/ready coupling as a warning.
   Netlist n;
-  const auto s0 = n.add_source("s0");
-  const auto s1 = n.add_source("s1");
-  const auto a = n.add_buffer("a");
-  const auto b = n.add_buffer("b");
-  const auto j = n.add_join("j", 2);
-  const auto bo = n.add_buffer("bo");
-  const auto snk = n.add_sink("snk");
+  const auto s0 = n.add(Node::source("s0"));
+  const auto s1 = n.add(Node::source("s1"));
+  const auto a = n.add(Node::buffer("a"));
+  const auto b = n.add(Node::buffer("b"));
+  const auto j = n.add(Node::join("j", 2));
+  const auto bo = n.add(Node::buffer("bo"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(s0, 0, a, 0);
   n.connect(s1, 0, b, 0);
   n.connect(a, 0, j, 0);
@@ -242,11 +244,11 @@ TEST(Analyze, Mte022SpeculativeFeedbackWithoutFork) {
 
 TEST(Analyze, Mte023SingleChannelValidReadyLoop) {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto m = n.add_buffer("m");
-  const auto br = n.add_branch("br", "even");
-  const auto s0 = n.add_sink("s0");
-  const auto s1 = n.add_sink("s1");
+  const auto src = n.add(Node::source("src"));
+  const auto m = n.add(Node::buffer("m"));
+  const auto br = n.add(Node::branch("br", "even"));
+  const auto s0 = n.add(Node::sink("s0"));
+  const auto s1 = n.add(Node::sink("s1"));
   n.connect(src, 0, m, 0);
   n.connect(m, 0, br, 0);
   n.connect(br, 0, s0, 0);
@@ -264,12 +266,12 @@ TEST(Analyze, Mte023SingleChannelValidReadyLoop) {
 
 TEST(Analyze, Mte030JoinFeedbackDeadlock) {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto j = n.add_join("j", 2);
-  const auto b0 = n.add_buffer("b0");
-  const auto f = n.add_fork("f", 2);
-  const auto snk = n.add_sink("snk");
-  const auto b1 = n.add_buffer("b1");
+  const auto src = n.add(Node::source("src"));
+  const auto j = n.add(Node::join("j", 2));
+  const auto b0 = n.add(Node::buffer("b0"));
+  const auto f = n.add(Node::fork("f", 2));
+  const auto snk = n.add(Node::sink("snk"));
+  const auto b1 = n.add(Node::buffer("b1"));
   n.connect(src, 0, j, 0);
   n.connect(j, 0, b0, 0);
   n.connect(b0, 0, f, 0);
@@ -331,8 +333,8 @@ TEST(Analyze, Mte043SingleThreadMtDesign) {
 
 TEST(Analyze, Mte044ZeroRateEndpoints) {
   Netlist n;
-  const auto src = n.add_source("src", 0.0);
-  const auto snk = n.add_sink("snk", 0.0);
+  const auto src = n.add(Node::source("src", 0.0));
+  const auto snk = n.add(Node::sink("snk", 0.0));
   n.connect(src, 0, snk, 0);
   EXPECT_EQ(count_code(analyze(n), "MTE044"), 2u);
 }
@@ -341,7 +343,7 @@ TEST(Analyze, WiringErrorsGateDeeperChecks) {
   // With a dangling edge reference the graph shape is unreliable: only
   // naming/wiring/capacity codes may appear, never the graph checks.
   Netlist n;
-  n.add_source("src");
+  n.add(Node::source("src"));
   n.connect(0, 0, 99, 0);
   const auto report = analyze(n);
   EXPECT_TRUE(has_code(report, "MTE005"));
@@ -350,26 +352,58 @@ TEST(Analyze, WiringErrorsGateDeeperChecks) {
   }
 }
 
-TEST(Analyze, NetlistMethodMatchesFreeFunction) {
-  const Netlist mt = diamond(1, 1).to_multithreaded(4, mt::MebKind::kFull);
-  const auto via_method = mt.analyze();
-  const auto via_free = analyze(mt);
-  ASSERT_EQ(via_method.count(), via_free.count());
-  for (std::size_t i = 0; i < via_method.count(); ++i) {
-    EXPECT_EQ(via_method.diagnostics()[i].code, via_free.diagnostics()[i].code);
+TEST(Analyze, ElaborationErrorsAreTheAnalyzerSubset) {
+  // elaboration_errors() runs the analyzer's own wiring, name, cycle and
+  // reconvergence checks: it reports exactly analyze()'s MTE001-006,
+  // MTE020 and MTE021 diagnostics, with the arbiter gating MTE021.
+  Netlist broken;  // storage-free merge loop plus a dangling source
+  const auto src = broken.add(Node::source("src"));
+  const auto m = broken.add(Node::merge("m", 2));
+  const auto f = broken.add(Node::function("inc", "inc"));
+  const auto br = broken.add(Node::branch("br", "even"));
+  const auto snk = broken.add(Node::sink("snk"));
+  broken.add(Node::source("lone"));
+  broken.connect(src, 0, m, 0);
+  broken.connect(m, 0, f, 0);
+  broken.connect(f, 0, br, 0);
+  broken.connect(br, 0, m, 1);
+  broken.connect(br, 1, snk, 0);
+  const auto render = [](const std::vector<analysis::Diagnostic>& ds) {
+    std::vector<std::string> out;
+    for (const auto& d : ds) out.push_back(d.code + " " + d.component + " " + d.message);
+    return out;
+  };
+  const std::vector<Netlist> nets = {
+      broken, diamond(0, 3), diamond(1, 1).to_multithreaded(4, mt::MebKind::kFull)};
+  for (const auto& n : nets) {
+    for (const auto arbiter : {mt::ArbiterKind::kRoundRobin, mt::ArbiterKind::kOblivious}) {
+      AnalysisOptions options;
+      options.arbiter = arbiter;
+      const AnalysisReport report = analyze(n, options);
+      std::vector<analysis::Diagnostic> expected;
+      for (const auto& d : report.diagnostics()) {
+        if (d.code <= "MTE006" || d.code == "MTE020" || d.code == "MTE021") {
+          expected.push_back(d);
+        }
+      }
+      EXPECT_EQ(render(analysis::elaboration_errors(n, arbiter)), render(expected));
+    }
   }
+  EXPECT_EQ(analysis::elaboration_errors(broken).size(), 2u);  // MTE001 + MTE020
+  EXPECT_EQ(analysis::elaboration_errors(nets[2]).size(), 1u);  // MTE021
+  EXPECT_TRUE(analysis::elaboration_errors(nets[2], mt::ArbiterKind::kOblivious).empty());
 }
 
 TEST(Analyze, ReconvergentPairsMinimality) {
   // Nested diamonds: only the innermost (fork, join) pair per join is
-  // reported, matching the legacy mt_reconvergence_hazards contract.
+  // reported, so each MTE021 finding names one divergence point.
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto f0 = n.add_fork("f0", 2);
-  const auto f1 = n.add_fork("f1", 2);
-  const auto j1 = n.add_join("j1", 2);
-  const auto j0 = n.add_join("j0", 2);
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto f0 = n.add(Node::fork("f0", 2));
+  const auto f1 = n.add(Node::fork("f1", 2));
+  const auto j1 = n.add(Node::join("j1", 2));
+  const auto j0 = n.add(Node::join("j0", 2));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, f0, 0);
   n.connect(f0, 0, f1, 0);
   n.connect(f1, 0, j1, 0);

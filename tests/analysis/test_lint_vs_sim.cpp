@@ -30,6 +30,7 @@ using namespace mte;
 using netlist::Elaboration;
 using netlist::ElaborationOptions;
 using netlist::Netlist;
+using netlist::Node;
 
 std::uint64_t base_seed() {
   if (const char* env = std::getenv("MTE_FUZZ_SEED"); env != nullptr && *env != '\0') {
@@ -112,12 +113,12 @@ bool has_code(const analysis::AnalysisReport& report, const std::string& code) {
 /// src -> join <- (fork feedback): the MTE030 fixture shape.
 Netlist join_cycle_netlist() {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto j = n.add_join("j", 2);
-  const auto b0 = n.add_buffer("b0");
-  const auto f = n.add_fork("f", 2);
-  const auto snk = n.add_sink("snk");
-  const auto b1 = n.add_buffer("b1");
+  const auto src = n.add(Node::source("src"));
+  const auto j = n.add(Node::join("j", 2));
+  const auto b0 = n.add(Node::buffer("b0"));
+  const auto f = n.add(Node::fork("f", 2));
+  const auto snk = n.add(Node::sink("snk"));
+  const auto b1 = n.add(Node::buffer("b1"));
   n.connect(src, 0, j, 0);
   n.connect(j, 0, b0, 0);
   n.connect(b0, 0, f, 0);
@@ -252,12 +253,12 @@ TEST(LintVsSim, CleanFuzzNetlistsDoNotTripTheWatchdog) {
 TEST(LintVsSim, CleanDiamondIsNotMisflagged) {
   // The negative control: a balanced ST diamond lints clean and flows.
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto f = n.add_fork("f", 2);
-  const auto ba = n.add_buffer("ba");
-  const auto bb = n.add_buffer("bb");
-  const auto j = n.add_join("j", 2);
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto f = n.add(Node::fork("f", 2));
+  const auto ba = n.add(Node::buffer("ba"));
+  const auto bb = n.add(Node::buffer("bb"));
+  const auto j = n.add(Node::join("j", 2));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, f, 0);
   n.connect(f, 0, ba, 0);
   n.connect(f, 1, bb, 0);

@@ -31,6 +31,7 @@ using namespace mte;
 using netlist::Elaboration;
 using netlist::ElaborationOptions;
 using netlist::Netlist;
+using netlist::Node;
 
 std::uint64_t base_seed() {
   if (const char* env = std::getenv("MTE_FUZZ_SEED"); env != nullptr && *env != '\0') {
@@ -147,11 +148,11 @@ TEST(PerfVsSim, TightOnBubbleFreeLinearPipeline) {
   // the fill, one token retires per cycle. The windowed bound must sit
   // within 1% of the measurement on both kernels.
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto b1 = n.add_buffer("b1");
-  const auto b2 = n.add_buffer("b2");
-  const auto b3 = n.add_buffer("b3");
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto b1 = n.add(Node::buffer("b1"));
+  const auto b2 = n.add(Node::buffer("b2"));
+  const auto b3 = n.add(Node::buffer("b3"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, b1, 0);
   n.connect(b1, 0, b2, 0);
   n.connect(b2, 0, b3, 0);

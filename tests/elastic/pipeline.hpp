@@ -1,15 +1,12 @@
-// Linear elastic pipeline builder: a convenience for constructing chains
-// of elastic buffers (with optional per-stage functions) in tests,
-// examples and benchmarks.
+// Linear elastic pipeline fixture: a chain of elastic buffers wired
+// directly on channels, for the pipeline property tests.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "elastic/channel.hpp"
 #include "elastic/elastic_buffer.hpp"
-#include "elastic/function_unit.hpp"
 #include "sim/simulator.hpp"
 
 namespace mte::elastic {

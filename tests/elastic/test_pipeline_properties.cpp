@@ -7,9 +7,9 @@
 #include <numeric>
 #include <tuple>
 
-#include "elastic/pipeline.hpp"
 #include "elastic/sink.hpp"
 #include "elastic/source.hpp"
+#include "pipeline.hpp"
 #include "sim/simulator.hpp"
 
 namespace mte::elastic {

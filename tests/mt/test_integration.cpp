@@ -5,6 +5,8 @@
 // that the per-component tests cannot.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "mt/barrier.hpp"
 #include "mt/full_meb.hpp"
 #include "mt/m_fork.hpp"
@@ -16,8 +18,7 @@
 #include "mt/mt_var_latency.hpp"
 #include "mt/reduced_meb.hpp"
 #include "sim/simulator.hpp"
-#include "stats/latency.hpp"
-#include "stats/throughput.hpp"
+#include "stats/histogram.hpp"
 
 namespace mte::mt {
 namespace {
@@ -104,8 +105,8 @@ TEST(Integration, BarrierPhasedComputeUnderBackpressure) {
   }
 }
 
-// Two-stage MEB pipeline observed with the stats module: per-thread
-// throughput symmetry and bounded in-flight latency.
+// Two-stage MEB pipeline observed from a cycle observer: per-thread
+// throughput symmetry and bounded inject-to-retire latency.
 TEST(Integration, StatsInstrumentation) {
   const std::size_t threads = 4;
   sim::Simulator s;
@@ -116,29 +117,33 @@ TEST(Integration, StatsInstrumentation) {
   for (std::size_t t = 0; t < threads; ++t) {
     src.set_generator(t, [t](std::uint64_t i) { return t * 100000 + i; });
   }
-  stats::ThroughputMeter meter(threads);
-  stats::LatencyTracker latency;
+  constexpr sim::Cycle kCycles = 1000;
+  std::vector<std::uint64_t> retired(threads, 0);
+  std::unordered_map<Token, sim::Cycle> in_flight;  // token -> inject cycle
+  stats::Histogram latency;
   s.on_cycle([&](sim::Cycle c) {
-    const std::size_t ti = c0.fired_thread();
-    if (ti < threads) latency.on_inject(c0.data.get(), c);
+    if (c0.fired_thread() < threads) in_flight[c0.data.get()] = c;
     const std::size_t to = c2.fired_thread();
     if (to < threads) {
-      meter.record(to);
-      latency.on_retire(c2.data.get(), c);
+      ++retired[to];
+      const auto it = in_flight.find(c2.data.get());
+      ASSERT_TRUE(it != in_flight.end());
+      latency.add(c - it->second);
+      in_flight.erase(it);
     }
   });
   s.reset();
-  meter.start_window(0);
-  s.run(1000);
-  meter.end_window(1000);
+  s.run(kCycles);
+  std::uint64_t total = 0;
   for (std::size_t t = 0; t < threads; ++t) {
-    EXPECT_NEAR(meter.rate(t), 0.25, 0.02) << "thread " << t;
+    EXPECT_NEAR(static_cast<double>(retired[t]) / kCycles, 0.25, 0.02) << "thread " << t;
+    total += retired[t];
   }
-  EXPECT_GE(meter.total_rate(), 0.98);
+  EXPECT_GE(static_cast<double>(total) / kCycles, 0.98);
   // Latency through 2 stages at 4-way sharing: small and bounded.
-  EXPECT_GE(latency.histogram().min(), 2u);
-  EXPECT_LE(latency.histogram().max(), 16u);
-  EXPECT_LE(latency.in_flight(), 2u * (threads + 1));
+  EXPECT_GE(latency.min(), 2u);
+  EXPECT_LE(latency.max(), 16u);
+  EXPECT_LE(in_flight.size(), 2u * (threads + 1));
 }
 
 // Deep pipeline: 6 reduced-MEB stages, 8 threads, random rates — the

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "analysis/analyze.hpp"
 #include "mt/barrier.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/text_format.hpp"
@@ -7,23 +8,24 @@
 namespace mte::netlist {
 namespace {
 
-// The same diamond built both ways must produce identical structure.
+// The same diamond built both ways — id-based Netlist::add/connect and
+// the fluent builder — must produce identical structure.
 TEST(Builder, MatchesLegacyNetlistStructure) {
-  Netlist legacy;
-  const auto src = legacy.add_source("src");
-  const auto fork = legacy.add_fork("fork", 2);
-  const auto fu = legacy.add_function("dbl", "double");
-  const auto b0 = legacy.add_buffer("b0");
-  const auto b1 = legacy.add_buffer("b1");
-  const auto join = legacy.add_join("join", 2);
-  const auto snk = legacy.add_sink("snk");
-  legacy.connect(src, 0, fork, 0);
-  legacy.connect(fork, 0, b0, 0);
-  legacy.connect(fork, 1, fu, 0);
-  legacy.connect(fu, 0, b1, 0);
-  legacy.connect(b0, 0, join, 0);
-  legacy.connect(b1, 0, join, 1);
-  legacy.connect(join, 0, snk, 0);
+  Netlist by_id;
+  const auto src = by_id.add(Node::source("src"));
+  const auto fork = by_id.add(Node::fork("fork", 2));
+  const auto fu = by_id.add(Node::function("dbl", "double"));
+  const auto b0 = by_id.add(Node::buffer("b0"));
+  const auto b1 = by_id.add(Node::buffer("b1"));
+  const auto join = by_id.add(Node::join("join", 2));
+  const auto snk = by_id.add(Node::sink("snk"));
+  by_id.connect(src, 0, fork, 0);
+  by_id.connect(fork, 0, b0, 0);
+  by_id.connect(fork, 1, fu, 0);
+  by_id.connect(fu, 0, b1, 0);
+  by_id.connect(b0, 0, join, 0);
+  by_id.connect(b1, 0, join, 1);
+  by_id.connect(join, 0, snk, 0);
 
   CircuitBuilder b;
   auto bsrc = b.source("src");
@@ -42,10 +44,10 @@ TEST(Builder, MatchesLegacyNetlistStructure) {
   bjoin >> bsnk;
   const Netlist built = b.build();
 
-  ASSERT_EQ(built.nodes().size(), legacy.nodes().size());
-  ASSERT_EQ(built.edges().size(), legacy.edges().size());
+  ASSERT_EQ(built.nodes().size(), by_id.nodes().size());
+  ASSERT_EQ(built.edges().size(), by_id.edges().size());
   // Same serialized form => same nodes, attributes and connectivity.
-  EXPECT_EQ(serialize_netlist(built), serialize_netlist(legacy));
+  EXPECT_EQ(serialize_netlist(built), serialize_netlist(by_id));
 }
 
 TEST(Builder, FluentPipelineSimulates) {
@@ -125,20 +127,22 @@ TEST(Builder, CustomOnlyLoopRejected) {
   EXPECT_THROW((void)b.build(), BuildError);
 }
 
-// Names are load-bearing for elaboration handles, so the legacy id-based
-// API's duplicate names must be rejected at validation time.
-TEST(Builder, LegacyDuplicateNamesRejectedByValidate) {
+// Names are load-bearing for elaboration handles, so duplicate names
+// built through the id-based Netlist::add must be rejected before
+// elaboration.
+TEST(Builder, DuplicateNamesRejectedByElaborationCheck) {
   Netlist n;
-  const auto b0 = n.add_buffer("b");
-  const auto b1 = n.add_buffer("b");
-  const auto src = n.add_source("src");
-  const auto snk = n.add_sink("snk");
+  const auto b0 = n.add(Node::buffer("b"));
+  const auto b1 = n.add(Node::buffer("b"));
+  const auto src = n.add(Node::source("src"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, b0, 0);
   n.connect(b0, 0, b1, 0);
   n.connect(b1, 0, snk, 0);
-  const auto problems = n.validate();
-  ASSERT_FALSE(problems.empty());
-  EXPECT_NE(problems.front().find("duplicate node name 'b'"), std::string::npos);
+  const auto errors = analysis::elaboration_errors(n);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors.front().code, "MTE006");
+  EXPECT_EQ(errors.front().component, "b");
   EXPECT_THROW(Elaboration(n, FunctionRegistry::with_defaults()), ElaborationError);
 }
 
@@ -411,7 +415,7 @@ TEST(Builder, ReconvergentDiamondBuildsSingleThread) {
   // structure is a perfectly good single-thread elastic diamond.
   CircuitBuilder b = reconvergent_diamond();
   EXPECT_NO_THROW((void)b.build());
-  EXPECT_TRUE(b.build().mt_reconvergence_hazards().empty());
+  EXPECT_TRUE(analysis::elaboration_errors(b.build()).empty());
 }
 
 TEST(Builder, ReconvergentDiamondRejectedMultithreaded) {
@@ -422,6 +426,7 @@ TEST(Builder, ReconvergentDiamondRejectedMultithreaded) {
     FAIL() << "build() accepted a reconvergent multithreaded fork/join";
   } catch (const BuildError& err) {
     const std::string what = err.what();
+    EXPECT_NE(what.find("[MTE021]"), std::string::npos) << what;
     EXPECT_NE(what.find("fork 'f'"), std::string::npos) << what;
     EXPECT_NE(what.find("join 'j'"), std::string::npos) << what;
     EXPECT_NE(what.find("valid/ready cycle"), std::string::npos) << what;
@@ -432,12 +437,16 @@ TEST(Builder, ReconvergenceHazardIsStructured) {
   CircuitBuilder b = reconvergent_diamond();
   const Netlist multi =
       b.netlist().to_multithreaded(2, mt::MebKind::kReduced);
-  const auto hazards = multi.mt_reconvergence_hazards();
-  ASSERT_EQ(hazards.size(), 1u);
-  EXPECT_EQ(hazards[0].fork, "f");
-  EXPECT_EQ(hazards[0].join, "j");
-  EXPECT_EQ(multi.node(hazards[0].fork_id).name, "f");
-  EXPECT_EQ(multi.node(hazards[0].join_id).name, "j");
+  const auto errors = analysis::elaboration_errors(multi);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].code, "MTE021");
+  EXPECT_EQ(errors[0].component, "f");
+  EXPECT_NE(errors[0].message.find("join 'j'"), std::string::npos);
+  EXPECT_FALSE(errors[0].hint.empty());
+  const auto pairs = analysis::reconvergent_pairs(multi);
+  ASSERT_EQ(pairs.size(), 1u);
+  EXPECT_EQ(multi.node(pairs[0].fork_id).name, "f");
+  EXPECT_EQ(multi.node(pairs[0].join_id).name, "j");
 
   // Elaborating the hazardous netlist directly is refused too.
   EXPECT_THROW(Elaboration(multi, FunctionRegistry::with_defaults()),
@@ -527,7 +536,7 @@ TEST(Builder, IndependentJoinArmsStayLegalMultithreaded) {
   b.node("j") >> b.sink("snk");
   b.then_multithreaded(2, mt::MebKind::kFull);
   EXPECT_NO_THROW((void)b.build());
-  EXPECT_TRUE(b.build().mt_reconvergence_hazards().empty());
+  EXPECT_TRUE(analysis::elaboration_errors(b.build()).empty());
 }
 
 TEST(Builder, TwoForksTwoJoinsReportEveryHazard) {
@@ -540,14 +549,16 @@ TEST(Builder, TwoForksTwoJoinsReportEveryHazard) {
   f1 >> b.buffer("c1") >> b.node("j1");
   b.node("j1") >> b.sink("snk");
   const Netlist multi = b.netlist().to_multithreaded(2, mt::MebKind::kFull);
-  const auto hazards = multi.mt_reconvergence_hazards();
+  const auto errors = analysis::elaboration_errors(multi);
   // f0 reconverges at j0; f0 and f1 both reach j1 (f0 through j0's single
   // output is one path only, so only f1 reconverges there).
-  ASSERT_EQ(hazards.size(), 2u);
-  EXPECT_EQ(hazards[0].fork, "f0");
-  EXPECT_EQ(hazards[0].join, "j0");
-  EXPECT_EQ(hazards[1].fork, "f1");
-  EXPECT_EQ(hazards[1].join, "j1");
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_EQ(errors[0].code, "MTE021");
+  EXPECT_EQ(errors[0].component, "f0");
+  EXPECT_NE(errors[0].message.find("join 'j0'"), std::string::npos);
+  EXPECT_EQ(errors[1].code, "MTE021");
+  EXPECT_EQ(errors[1].component, "f1");
+  EXPECT_NE(errors[1].message.find("join 'j1'"), std::string::npos);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "analysis/analyze.hpp"
 #include "netlist/elaborate.hpp"
 
 namespace mte::netlist {
@@ -7,11 +8,11 @@ namespace {
 
 Netlist square_pipeline() {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto b0 = n.add_buffer("b0");
-  const auto f = n.add_function("sq", "square");
-  const auto b1 = n.add_buffer("b1");
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto b0 = n.add(Node::buffer("b0"));
+  const auto f = n.add(Node::function("sq", "square"));
+  const auto b1 = n.add(Node::buffer("b1"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, b0, 0);
   n.connect(b0, 0, f, 0);
   n.connect(f, 0, b1, 0);
@@ -29,31 +30,16 @@ TEST(Elaborate, SingleThreadPipelineComputes) {
   EXPECT_EQ(snk.received(), (std::vector<Word>{4, 9, 16, 25}));
 }
 
-TEST(Elaborate, InvalidNetlistRejected) {
+/// src -> fork -> {b0, dbl -> b1} -> join -> snk: the join sums x + 2x.
+Netlist fork_join_diamond() {
   Netlist n;
-  n.add_source("src");
-  EXPECT_THROW(Elaboration(n, FunctionRegistry::with_defaults()), ElaborationError);
-}
-
-TEST(Elaborate, UnknownFunctionRejected) {
-  Netlist n;
-  const auto src = n.add_source("src");
-  const auto f = n.add_function("f", "no_such_fn");
-  const auto snk = n.add_sink("snk");
-  n.connect(src, 0, f, 0);
-  n.connect(f, 0, snk, 0);
-  EXPECT_THROW(Elaboration(n, FunctionRegistry::with_defaults()), ElaborationError);
-}
-
-TEST(Elaborate, ForkJoinDiamond) {
-  Netlist n;
-  const auto src = n.add_source("src");
-  const auto fork = n.add_fork("fork", 2);
-  const auto fu = n.add_function("dbl", "double");
-  const auto b0 = n.add_buffer("b0");
-  const auto b1 = n.add_buffer("b1");
-  const auto join = n.add_join("join", 2);
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto fork = n.add(Node::fork("fork", 2));
+  const auto fu = n.add(Node::function("dbl", "double"));
+  const auto b0 = n.add(Node::buffer("b0"));
+  const auto b1 = n.add(Node::buffer("b1"));
+  const auto join = n.add(Node::join("join", 2));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, fork, 0);
   n.connect(fork, 0, b0, 0);
   n.connect(fork, 1, fu, 0);
@@ -61,7 +47,50 @@ TEST(Elaborate, ForkJoinDiamond) {
   n.connect(b0, 0, join, 0);
   n.connect(b1, 0, join, 1);
   n.connect(join, 0, snk, 0);
-  ASSERT_TRUE(n.validate().empty());
+  return n;
+}
+
+/// The ElaborationError message `elaborate` throws; "" when it does not.
+template <typename Elaborate>
+std::string elaboration_error(Elaborate elaborate) {
+  try {
+    elaborate();
+  } catch (const ElaborationError& err) {
+    return err.what();
+  }
+  return "";
+}
+
+TEST(Elaborate, InvalidNetlistRejected) {
+  Netlist n;
+  n.add(Node::source("src"));
+  const std::string dangling = elaboration_error(
+      [&n] { (void)Elaboration(n, FunctionRegistry::with_defaults()); });
+  EXPECT_NE(dangling.find("[MTE001]"), std::string::npos) << dangling;
+  EXPECT_NE(dangling.find("src"), std::string::npos) << dangling;
+
+  // Fork/join reconvergence is a combinational cycle only through the
+  // multithreaded primitives under a ready-aware arbiter.
+  const Netlist multi = fork_join_diamond().to_multithreaded(2, mt::MebKind::kFull);
+  const std::string reconvergent = elaboration_error(
+      [&multi] { (void)Elaboration(multi, FunctionRegistry::with_defaults()); });
+  EXPECT_NE(reconvergent.find("[MTE021]"), std::string::npos) << reconvergent;
+  EXPECT_NE(reconvergent.find("join 'join'"), std::string::npos) << reconvergent;
+}
+
+TEST(Elaborate, UnknownFunctionRejected) {
+  Netlist n;
+  const auto src = n.add(Node::source("src"));
+  const auto f = n.add(Node::function("f", "no_such_fn"));
+  const auto snk = n.add(Node::sink("snk"));
+  n.connect(src, 0, f, 0);
+  n.connect(f, 0, snk, 0);
+  EXPECT_THROW(Elaboration(n, FunctionRegistry::with_defaults()), ElaborationError);
+}
+
+TEST(Elaborate, ForkJoinDiamond) {
+  const Netlist n = fork_join_diamond();
+  ASSERT_TRUE(analysis::elaboration_errors(n).empty());
 
   Elaboration e(n, FunctionRegistry::with_defaults());
   auto& src_h = e.source("src");
@@ -76,19 +105,19 @@ TEST(Elaborate, ForkJoinDiamond) {
 TEST(Elaborate, BranchMergeLoopCollatzLikeFlow) {
   // src -> merge -> inc -> buffer -> branch(even): true exits, false loops.
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto m = n.add_merge("m", 2);
-  const auto f = n.add_function("inc", "inc");
-  const auto b = n.add_buffer("b");
-  const auto br = n.add_branch("br", "even");
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto m = n.add(Node::merge("m", 2));
+  const auto f = n.add(Node::function("inc", "inc"));
+  const auto b = n.add(Node::buffer("b"));
+  const auto br = n.add(Node::branch("br", "even"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, m, 0);
   n.connect(m, 0, f, 0);
   n.connect(f, 0, b, 0);
   n.connect(b, 0, br, 0);
   n.connect(br, 1, m, 1);  // odd values loop back for another increment
   n.connect(br, 0, snk, 0);
-  ASSERT_TRUE(n.validate().empty());
+  ASSERT_TRUE(analysis::elaboration_errors(n).empty());
 
   Elaboration e(n, FunctionRegistry::with_defaults());
   auto& src_h = e.source("src");
@@ -121,12 +150,12 @@ TEST(Elaborate, MultithreadedPipeline) {
 
 TEST(Elaborate, MultithreadedBranchLoop) {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto m = n.add_merge("m", 2);
-  const auto f = n.add_function("inc", "inc");
-  const auto b = n.add_buffer("b");
-  const auto br = n.add_branch("br", "even");
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto m = n.add(Node::merge("m", 2));
+  const auto f = n.add(Node::function("inc", "inc"));
+  const auto b = n.add(Node::buffer("b"));
+  const auto br = n.add(Node::branch("br", "even"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, m, 0);
   n.connect(m, 0, f, 0);
   n.connect(f, 0, b, 0);
@@ -149,9 +178,9 @@ TEST(Elaborate, MultithreadedBranchLoop) {
 TEST(Elaborate, MtVarLatencySharedUnit) {
   // A shared variable-latency unit time-multiplexed by two threads.
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto v = n.add_var_latency("v", 1, 4);
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto v = n.add(Node::var_latency("v", 1, 4));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, v, 0);
   n.connect(v, 0, snk, 0);
   const Netlist multi = n.to_multithreaded(2, mt::MebKind::kFull);
@@ -166,9 +195,9 @@ TEST(Elaborate, MtVarLatencySharedUnit) {
 
 TEST(Elaborate, SingleThreadVarLatencySupported) {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto v = n.add_var_latency("v", 1, 4);
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto v = n.add(Node::var_latency("v", 1, 4));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, v, 0);
   n.connect(v, 0, snk, 0);
   Elaboration e(n, FunctionRegistry::with_defaults());

@@ -1,17 +1,30 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "analysis/analyze.hpp"
+#include "netlist/builder.hpp"
 #include "netlist/netlist.hpp"
 
 namespace mte::netlist {
 namespace {
 
+using analysis::elaboration_errors;
+
+/// Whether the elaboration check reports `code` on `n`.
+bool reports(const Netlist& n, const std::string& code) {
+  const auto errors = elaboration_errors(n);
+  return std::any_of(errors.begin(), errors.end(),
+                     [&code](const analysis::Diagnostic& d) { return d.code == code; });
+}
+
 Netlist linear_pipeline() {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto b0 = n.add_buffer("b0");
-  const auto f = n.add_function("sq", "square");
-  const auto b1 = n.add_buffer("b1");
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto b0 = n.add(Node::buffer("b0"));
+  const auto f = n.add(Node::function("sq", "square"));
+  const auto b1 = n.add(Node::buffer("b1"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, b0, 0);
   n.connect(b0, 0, f, 0);
   n.connect(f, 0, b1, 0);
@@ -20,7 +33,7 @@ Netlist linear_pipeline() {
 }
 
 TEST(Netlist, ValidPipelinePassesValidation) {
-  EXPECT_TRUE(linear_pipeline().validate().empty());
+  EXPECT_TRUE(elaboration_errors(linear_pipeline()).empty());
 }
 
 TEST(Netlist, CountsByType) {
@@ -32,87 +45,91 @@ TEST(Netlist, CountsByType) {
 
 TEST(Netlist, DetectsUnconnectedPorts) {
   Netlist n;
-  n.add_source("src");
-  const auto problems = n.validate();
-  ASSERT_FALSE(problems.empty());
-  EXPECT_NE(problems.front().find("unconnected"), std::string::npos);
+  n.add(Node::source("src"));
+  const auto errors = elaboration_errors(n);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors.front().code, "MTE001");
+  EXPECT_EQ(errors.front().component, "src");
+  EXPECT_EQ(errors.front().port, "out0");
 }
 
 TEST(Netlist, DetectsUndrivenInput) {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto j = n.add_join("j", 2);
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto j = n.add(Node::join("j", 2));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, j, 0);
   n.connect(j, 0, snk, 0);
-  bool found = false;
-  for (const auto& p : n.validate()) {
-    if (p.find("undriven") != std::string::npos) found = true;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(reports(n, "MTE002"));
 }
 
 TEST(Netlist, DetectsIllegalFanout) {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto s0 = n.add_sink("s0");
-  const auto s1 = n.add_sink("s1");
+  const auto src = n.add(Node::source("src"));
+  const auto s0 = n.add(Node::sink("s0"));
+  const auto s1 = n.add(Node::sink("s1"));
   n.connect(src, 0, s0, 0);
   n.connect(src, 0, s1, 0);  // fanout without a fork
-  bool found = false;
-  for (const auto& p : n.validate()) {
-    if (p.find("fanout") != std::string::npos) found = true;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(reports(n, "MTE003"));
 }
 
 TEST(Netlist, DetectsBadPortIndex) {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 3, snk, 0);  // source has only port 0
-  bool found = false;
-  for (const auto& p : n.validate()) {
-    if (p.find("no output port") != std::string::npos) found = true;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(reports(n, "MTE005"));
 }
 
 TEST(Netlist, DetectsBufferlessCycle) {
   // merge -> function -> branch -> (loop back to merge) with no buffer.
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto m = n.add_merge("m", 2);
-  const auto f = n.add_function("inc", "inc");
-  const auto br = n.add_branch("br", "even");
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto m = n.add(Node::merge("m", 2));
+  const auto f = n.add(Node::function("inc", "inc"));
+  const auto br = n.add(Node::branch("br", "even"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, m, 0);
   n.connect(m, 0, f, 0);
   n.connect(f, 0, br, 0);
   n.connect(br, 0, m, 1);  // combinational feedback
   n.connect(br, 1, snk, 0);
-  bool found = false;
-  for (const auto& p : n.validate()) {
-    if (p.find("combinational cycle") != std::string::npos) found = true;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(reports(n, "MTE020"));
 }
 
 TEST(Netlist, BufferedCycleIsLegal) {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto m = n.add_merge("m", 2);
-  const auto f = n.add_function("inc", "inc");
-  const auto b = n.add_buffer("b");
-  const auto br = n.add_branch("br", "even");
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto m = n.add(Node::merge("m", 2));
+  const auto f = n.add(Node::function("inc", "inc"));
+  const auto b = n.add(Node::buffer("b"));
+  const auto br = n.add(Node::branch("br", "even"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, m, 0);
   n.connect(m, 0, f, 0);
   n.connect(f, 0, b, 0);
   n.connect(b, 0, br, 0);
   n.connect(br, 0, m, 1);  // feedback through the buffer
   n.connect(br, 1, snk, 0);
-  EXPECT_TRUE(n.validate().empty());
+  EXPECT_TRUE(elaboration_errors(n).empty());
+}
+
+// A long storage-free chain is legal (acyclic) and must be checked
+// iteratively: a recursive cycle search overflows the stack long before
+// 2x10^5 nodes.
+TEST(Netlist, LongBufferFreeChainPassesValidation) {
+  constexpr std::size_t kNodes = 200000;
+  Netlist n;
+  std::size_t prev = n.add(Node::source("src"));
+  for (std::size_t i = 0; i + 2 < kNodes; ++i) {
+    const std::size_t f = n.add(Node::function("f" + std::to_string(i), "id"));
+    n.connect(prev, 0, f, 0);
+    prev = f;
+  }
+  n.connect(prev, 0, n.add(Node::sink("snk")), 0);
+  ASSERT_EQ(n.nodes().size(), kNodes);
+  EXPECT_TRUE(elaboration_errors(n).empty());
+  EXPECT_NO_THROW((void)CircuitBuilder::from(n).build());
 }
 
 TEST(Netlist, TransformPreservesStructure) {
@@ -122,7 +139,7 @@ TEST(Netlist, TransformPreservesStructure) {
   EXPECT_EQ(multi.meb_kind(), mt::MebKind::kReduced);
   EXPECT_EQ(multi.nodes().size(), single.nodes().size());
   EXPECT_EQ(multi.edges().size(), single.edges().size());
-  EXPECT_TRUE(multi.validate().empty());
+  EXPECT_TRUE(elaboration_errors(multi).empty());
 }
 
 TEST(Netlist, TransformTwiceThrows) {

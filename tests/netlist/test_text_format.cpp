@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "analysis/analyze.hpp"
 #include "netlist/elaborate.hpp"
 #include "netlist/text_format.hpp"
 
@@ -24,7 +25,7 @@ TEST(TextFormat, ParsesPipeline) {
   EXPECT_EQ(n.nodes().size(), 5u);
   EXPECT_EQ(n.edges().size(), 4u);
   EXPECT_EQ(n.threads(), 1u);
-  EXPECT_TRUE(n.validate().empty());
+  EXPECT_TRUE(analysis::elaboration_errors(n).empty());
 }
 
 TEST(TextFormat, ParsedNetlistRuns) {

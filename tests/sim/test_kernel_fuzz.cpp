@@ -39,17 +39,6 @@ bool run_fuzz_case(std::uint64_t seed) {
   for (int i = 0; i < 8; ++i) rates.sink.push_back(rate_dist(rng));
 
   const auto configure = [&net, &rates](netlist::Elaboration& e) {
-    // Mixed-migration coverage: demote a random third of the components
-    // to legacy single-process evaluation (process_count() == 1), so the
-    // kernels are exercised on netlists where split two-phase components
-    // and unsplit ones coexist — the partial-migration shape, not just
-    // the all-migrated benches. The choice stream is seeded identically
-    // for both elaborations (component order is deterministic), so the
-    // reference and the DUT demote the same components.
-    std::mt19937_64 split_rng(rates.seed_base ^ 0x51713ULL);
-    for (sim::Component* c : e.simulator().components()) {
-      if (split_rng() % 3 == 0) c->set_process_split(false);
-    }
     std::size_t si = 0;
     std::size_t ki = 0;
     for (const auto& node : net.nodes()) {

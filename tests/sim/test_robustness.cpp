@@ -30,15 +30,16 @@ using namespace mte;
 using netlist::Elaboration;
 using netlist::ElaborationOptions;
 using netlist::Netlist;
+using netlist::Node;
 
 /// src -> b (elastic buffer) -> snk. Channels "src:0" and "b:0"; "src:0"
 /// feeds a buffer, so it is persistent-ready (MTE103 applies), and "b:0"
 /// is driven by one, so it is persistent-valid (MTE101 applies).
 Netlist chain_netlist() {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto b = n.add_buffer("b");
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto b = n.add(Node::buffer("b"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, b, 0);
   n.connect(b, 0, snk, 0);
   return n;
@@ -47,12 +48,12 @@ Netlist chain_netlist() {
 /// The MTE030 fixture: fork feedback into a join with no initial token.
 Netlist join_cycle_netlist() {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto j = n.add_join("j", 2);
-  const auto b0 = n.add_buffer("b0");
-  const auto f = n.add_fork("f", 2);
-  const auto snk = n.add_sink("snk");
-  const auto b1 = n.add_buffer("b1");
+  const auto src = n.add(Node::source("src"));
+  const auto j = n.add(Node::join("j", 2));
+  const auto b0 = n.add(Node::buffer("b0"));
+  const auto f = n.add(Node::fork("f", 2));
+  const auto snk = n.add(Node::sink("snk"));
+  const auto b1 = n.add(Node::buffer("b1"));
   n.connect(src, 0, j, 0);
   n.connect(j, 0, b0, 0);
   n.connect(b0, 0, f, 0);

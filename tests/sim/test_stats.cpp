@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "stats/histogram.hpp"
-#include "stats/latency.hpp"
-#include "stats/throughput.hpp"
 
 namespace mte::stats {
 namespace {
@@ -50,61 +48,6 @@ TEST(Histogram, ClearResets) {
   EXPECT_EQ(h.count(), 0u);
   h.add(3);
   EXPECT_EQ(h.min(), 3u);
-}
-
-TEST(ThroughputMeter, RatesOverWindow) {
-  ThroughputMeter m(2);
-  m.start_window(100);
-  for (int i = 0; i < 30; ++i) m.record(0);
-  for (int i = 0; i < 10; ++i) m.record(1);
-  m.end_window(200);
-  EXPECT_EQ(m.count(0), 30u);
-  EXPECT_EQ(m.total(), 40u);
-  EXPECT_DOUBLE_EQ(m.rate(0), 0.3);
-  EXPECT_DOUBLE_EQ(m.rate(1), 0.1);
-  EXPECT_DOUBLE_EQ(m.total_rate(), 0.4);
-}
-
-TEST(ThroughputMeter, WindowRestartClearsCounts) {
-  ThroughputMeter m(1);
-  m.start_window(0);
-  m.record(0);
-  m.end_window(10);
-  m.start_window(10);
-  m.end_window(20);
-  EXPECT_EQ(m.count(0), 0u);
-  EXPECT_DOUBLE_EQ(m.rate(0), 0.0);
-}
-
-TEST(ThroughputMeter, EmptyWindowIsZeroRate) {
-  ThroughputMeter m(1);
-  m.record(0);
-  EXPECT_DOUBLE_EQ(m.rate(0), 0.0);  // no window bounds set
-}
-
-TEST(LatencyTracker, TracksInjectToRetire) {
-  LatencyTracker lt;
-  lt.on_inject(1, 10);
-  lt.on_inject(2, 12);
-  EXPECT_EQ(lt.in_flight(), 2u);
-  EXPECT_EQ(lt.on_retire(1, 15), 5u);
-  EXPECT_EQ(lt.on_retire(2, 20), 8u);
-  EXPECT_EQ(lt.in_flight(), 0u);
-  EXPECT_DOUBLE_EQ(lt.histogram().mean(), 6.5);
-}
-
-TEST(LatencyTracker, UnknownTagIgnored) {
-  LatencyTracker lt;
-  EXPECT_EQ(lt.on_retire(99, 5), 0u);
-  EXPECT_EQ(lt.histogram().count(), 0u);
-}
-
-TEST(LatencyTracker, ClearEmpties) {
-  LatencyTracker lt;
-  lt.on_inject(1, 0);
-  lt.clear();
-  EXPECT_EQ(lt.in_flight(), 0u);
-  EXPECT_EQ(lt.on_retire(1, 10), 0u);
 }
 
 }  // namespace

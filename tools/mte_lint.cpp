@@ -32,6 +32,7 @@ namespace {
 
 using mte::analysis::AnalysisOptions;
 using mte::analysis::AnalysisReport;
+using mte::analysis::analyze;
 
 void usage(std::ostream& os) {
   os << "usage: mte_lint [options] <netlist.enl>...\n"
@@ -201,7 +202,7 @@ int main(int argc, char** argv) {
     text << in.rdbuf();
     try {
       const auto net = mte::netlist::parse_netlist(text.str());
-      inputs.push_back({file, net.analyze(options)});
+      inputs.push_back({file, analyze(net, options)});
     } catch (const mte::netlist::ParseError& ex) {
       std::cerr << "mte_lint: " << file << ": " << ex.what() << "\n";
       return 2;
@@ -220,7 +221,7 @@ int main(int argc, char** argv) {
     AnalysisOptions case_options = options;
     if (has_mt_join) case_options.arbiter = mte::mt::ArbiterKind::kOblivious;
     case_options.perf = true;
-    inputs.push_back({"fuzz:" + std::to_string(seed), net.analyze(case_options)});
+    inputs.push_back({"fuzz:" + std::to_string(seed), analyze(net, case_options)});
   }
 
   std::size_t errors = 0;

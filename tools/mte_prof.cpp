@@ -314,7 +314,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    sim.set_phase_timing(true);
     bool watchdog_fired = false;
     try {
       sim.run(args.cycles);
