@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,6 +53,10 @@ class MtChannel {
   [[nodiscard]] sim::Wire<bool>& ready(std::size_t i) { return ready_.at(i); }
   [[nodiscard]] const sim::Wire<bool>& valid(std::size_t i) const { return valid_.at(i); }
   [[nodiscard]] const sim::Wire<bool>& ready(std::size_t i) const { return ready_.at(i); }
+
+  /// Every thread's valid / ready wire, in thread order.
+  [[nodiscard]] std::span<sim::Wire<bool>> valid_wires() noexcept { return valid_; }
+  [[nodiscard]] std::span<sim::Wire<bool>> ready_wires() noexcept { return ready_; }
 
   /// The packed per-thread valid mask, maintained from valid-wire writes.
   /// COMMIT-PHASE ONLY: reading the mask does not register event-kernel

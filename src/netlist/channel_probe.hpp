@@ -1,8 +1,8 @@
 // ChannelProbe: uniform per-channel statistics for elaborated netlists.
 //
-// One probe is attached to every channel of an Elaboration, regardless of
-// whether the design is single-thread or multithreaded. It accumulates,
-// per thread:
+// One probe is attached to every row of an Elaboration's channel table
+// (sim/channel_row.hpp), regardless of whether the design is single-thread
+// or multithreaded. It accumulates, per thread:
 //   - transfer counts (-> throughput in tokens/cycle over the run), and
 //   - the backpressure wait of each token: the number of cycles its valid
 //     was asserted before the consumer's ready completed the transfer
@@ -12,11 +12,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "elastic/channel.hpp"
-#include "mt/mt_channel.hpp"
+#include "mt/thread_mask.hpp"
+#include "sim/channel_row.hpp"
 #include "sim/component.hpp"
 #include "sim/simulator.hpp"
 #include "stats/histogram.hpp"
@@ -30,16 +29,12 @@ class ChannelProbe : public sim::Component {
   [[nodiscard]] std::string_view type_name() const noexcept override {
     return "ChannelProbe";
   }
-  ChannelProbe(sim::Simulator& s, const std::string& label,
-               elastic::Channel<Word>& ch)
-      : Component(s, "probe:" + label), st_(&ch) {
-    init(1);
-  }
-
-  ChannelProbe(sim::Simulator& s, const std::string& label, mt::MtChannel<Word>& ch)
-      : Component(s, "probe:" + label), mt_(&ch) {
-    init(ch.threads());
-  }
+  /// Observes `row`, which must outlive the probe.
+  ChannelProbe(sim::Simulator& s, const sim::ChannelRow& row)
+      : Component(s, "probe:" + row.name),
+        row_(row),
+        counts_(row.threads(), 0),
+        waits_(row.threads(), 0) {}
 
   void reset() override {
     cycles_ = 0;
@@ -53,17 +48,17 @@ class ChannelProbe : public sim::Component {
 
   void tick() override {
     ++cycles_;
-    if (st_ != nullptr) {
-      observe(0, st_->valid.get(), st_->ready.get(), st_->data.get());
-    } else {
-      // observe() ignores threads without valid, so walk only the set
-      // bits of the channel's maintained valid mask (at most one under
-      // the protocol) instead of reading S wires per cycle.
-      const mt::ThreadMask& v = mt_->valid_mask();
-      for (std::size_t t = v.first_set(); t < counts_.size();
-           t = v.first_set_at_or_after(t + 1)) {
-        observe(t, true, mt_->ready(t).get(), mt_->data.get());
-      }
+    if (!row_.multithreaded()) {
+      if (row_.valid[0].get()) observe(0);
+      return;
+    }
+    // Only threads with valid count, so walk the set bits of the channel's
+    // maintained valid mask (at most one under the protocol) instead of
+    // reading S wires per cycle.
+    const mt::ThreadMask& v = *row_.valid_mask;
+    for (std::size_t t = v.first_set(); t < counts_.size();
+         t = v.first_set_at_or_after(t + 1)) {
+      observe(t);
     }
   }
 
@@ -123,25 +118,20 @@ class ChannelProbe : public sim::Component {
   }
 
  private:
-  void init(std::size_t threads) {
-    counts_.assign(threads, 0);
-    waits_.assign(threads, 0);
-  }
-
-  void observe(std::size_t t, bool valid, bool ready, Word data) {
-    if (!valid) return;
-    if (ready) {
+  /// Thread `t` asserts valid this cycle: a transfer, or one more cycle
+  /// of backpressure wait.
+  void observe(std::size_t t) {
+    if (row_.ready[t].get()) {
       ++counts_[t];
       wait_hist_.add(waits_[t]);
       waits_[t] = 0;
-      last_value_ = data;
+      last_value_ = row_.data->get();
     } else {
       ++waits_[t];
     }
   }
 
-  elastic::Channel<Word>* st_ = nullptr;
-  mt::MtChannel<Word>* mt_ = nullptr;
+  const sim::ChannelRow& row_;
   std::vector<std::uint64_t> counts_;
   std::vector<std::uint64_t> waits_;
   stats::Histogram wait_hist_;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "analysis/analyze.hpp"
-#include "elastic/channel.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/protocol_monitor.hpp"
 
@@ -71,47 +70,79 @@ Elaboration::Elaboration(const Netlist& netlist, const FunctionRegistry& registr
   sim_.set_kernel(options.kernel);
   threads_ = netlist.threads();
   multithreaded_ = netlist.is_multithreaded();
+  // Rows are created in edge order and never move afterwards: probes hold
+  // references to them.
+  rows_.reserve(netlist.edges().size());
+  handles_.reserve(netlist.edges().size());
   if (netlist.is_multithreaded()) {
     elaborate_multi(netlist, registry, factory, options.channel_probes);
   } else {
     elaborate_single(netlist, registry, factory, options.channel_probes);
   }
-  // Bare-name aliases for channels whose driver has a single output, plus
-  // the endpoint records the robustness layer needs (violation loci,
-  // wait-for-graph nodes, MEB conservation watches).
-  for (const auto& e : netlist.edges()) {
+  // With every node built (MEBs exposed), complete each row: endpoints,
+  // persistence flags, bare-node alias; and record each buffer's in/out
+  // channels for the conservation watch.
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    const Edge& e = netlist.edges()[i];
     const Node& from = netlist.node(e.from);
     const Node& to = netlist.node(e.to);
-    const std::string name = channel_name(netlist, e);
-    if (from.outputs == 1) channel_aliases_[from.name] = name;
-    ChannelEnds ends;
-    ends.producer = from.name;
-    ends.producer_port = "out" + std::to_string(e.from_port);
-    ends.consumer = to.name;
-    ends.producer_is_buffer = from.type == NodeType::kBuffer;
-    ends.consumer_is_buffer = to.type == NodeType::kBuffer;
-    channel_ends_[name] = std::move(ends);
-    if (to.type == NodeType::kBuffer) buffer_io_[to.name].in_channel = name;
-    if (from.type == NodeType::kBuffer) buffer_io_[from.name].out_channel = name;
+    sim::ChannelRow& row = rows_[i];
+    row.producer = from.name;
+    row.producer_port = "out" + std::to_string(e.from_port);
+    row.consumer = to.name;
+    if (multithreaded_) {
+      // MT valid is never persistent: every MEB/MtSource drives it
+      // through a rotating arbiter, so a stalled thread's valid legally
+      // drops when the grant moves on. Per-thread ready persists only at
+      // full-MEB inputs (private slots per thread); reduced/hybrid MEBs
+      // share slots, so a peer thread's accept retracts this thread's
+      // ready without a transfer.
+      const auto meb = mebs_.find(to.name);
+      row.persistent_ready = to.type == NodeType::kBuffer && meb != mebs_.end() &&
+                             !meb->second.is_hybrid() &&
+                             meb->second.kind() == mt::MebKind::kFull;
+    } else {
+      // ST elastic-buffer outputs hold valid until the pop (occupancy
+      // semantics); rate-gated sources and derived valids (forks, joins,
+      // function units) may legally withdraw an offer.
+      row.persistent_valid = from.type == NodeType::kBuffer;
+      row.persistent_ready = to.type == NodeType::kBuffer;
+    }
+    if (from.outputs == 1) row_of_.emplace(from.name, i);
+    if (to.type == NodeType::kBuffer) buffer_io_[to.name].in_channel = row.name;
+    if (from.type == NodeType::kBuffer) buffer_io_[from.name].out_channel = row.name;
   }
   // Publish every probe's statistics on the simulator's registry under
   // the stable channel.* scheme — the machine-readable counterpart of
   // stats_report(). Semantic category: probe statistics are settled-state
   // observables, identical across settle kernels on lockstep-equivalent
   // runs. The lambda outlives nothing it touches: sim_ is this class's
-  // first member, so the registry inside it is destroyed after the maps.
+  // first member, so the registry inside it is destroyed after the table.
   sim_.metrics().add_source([this](obs::MetricsSink& sink) {
-    for (const auto& name : channel_order_) {
-      const auto it = probes_.find(name);
-      if (it == probes_.end()) continue;
-      const ChannelProbe& p = *it->second;
-      const std::string base = "channel." + name + ".";
-      sink.counter(base + "transfers", p.count());
-      sink.gauge(base + "throughput", p.throughput());
-      sink.gauge(base + "mean_wait", p.mean_wait());
-      sink.counter(base + "max_wait", p.wait_histogram().max());
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      const ChannelProbe* p = handles_[i].probe;
+      if (p == nullptr) continue;
+      const std::string base = "channel." + rows_[i].name + ".";
+      sink.counter(base + "transfers", p->count());
+      sink.gauge(base + "throughput", p->throughput());
+      sink.gauge(base + "mean_wait", p->mean_wait());
+      sink.counter(base + "max_wait", p->wait_histogram().max());
     }
   });
+}
+
+void Elaboration::add_row(std::string name, std::span<sim::Wire<bool>> valid,
+                          std::span<sim::Wire<bool>> ready, sim::Wire<Word>& data,
+                          const mt::ThreadMask* valid_mask, bool probes) {
+  row_of_.emplace(name, rows_.size());
+  sim::ChannelRow& row = rows_.emplace_back();
+  row.name = std::move(name);
+  row.valid = valid;
+  row.ready = ready;
+  row.data = &data;
+  row.valid_mask = valid_mask;
+  handles_.emplace_back();
+  if (probes) handles_.back().probe = &sim_.make<ChannelProbe>(sim_, row);
 }
 
 void Elaboration::elaborate_single(const Netlist& netlist,
@@ -119,13 +150,11 @@ void Elaboration::elaborate_single(const Netlist& netlist,
                                    const ComponentFactory& factory, bool probes) {
   PortMap<elastic::Channel<Word>> ports;
   for (const auto& e : netlist.edges()) {
-    const std::string name = channel_name(netlist, e);
-    auto& ch = sim_.make<elastic::Channel<Word>>(sim_, name);
+    auto& ch = sim_.make<elastic::Channel<Word>>(sim_, channel_name(netlist, e));
     ports.out[{e.from, e.from_port}] = &ch;
     ports.in[{e.to, e.to_port}] = &ch;
-    channels_[name] = &ch;
-    channel_order_.push_back(name);
-    if (probes) probes_[name] = &sim_.make<ChannelProbe>(sim_, name, ch);
+    add_row(ch.name(), {&ch.valid, 1}, {&ch.ready, 1}, ch.data, nullptr, probes);
+    handles_.back().st = &ch;
   }
   for (const auto& n : netlist.nodes()) {
     const StContext ctx{sim_, netlist, n, registry, ports, *this};
@@ -138,13 +167,12 @@ void Elaboration::elaborate_multi(const Netlist& netlist,
                                   const ComponentFactory& factory, bool probes) {
   PortMap<mt::MtChannel<Word>> ports;
   for (const auto& e : netlist.edges()) {
-    const std::string name = channel_name(netlist, e);
-    auto& ch = sim_.make<mt::MtChannel<Word>>(sim_, name, threads_);
+    auto& ch = sim_.make<mt::MtChannel<Word>>(sim_, channel_name(netlist, e), threads_);
     ports.out[{e.from, e.from_port}] = &ch;
     ports.in[{e.to, e.to_port}] = &ch;
-    mt_channels_[name] = &ch;
-    channel_order_.push_back(name);
-    if (probes) probes_[name] = &sim_.make<ChannelProbe>(sim_, name, ch);
+    add_row(ch.name(), ch.valid_wires(), ch.ready_wires(), ch.data, &ch.valid_mask(),
+            probes);
+    handles_.back().mt = &ch;
   }
   for (const auto& n : netlist.nodes()) {
     const MtContext ctx{sim_, netlist, n, registry, ports, *this};
@@ -176,23 +204,25 @@ mt::MtSink<Word>& Elaboration::mt_sink(const std::string& name) {
   return *it->second;
 }
 
-const std::string& Elaboration::resolve_channel(const std::string& name) const {
-  if (channels_.count(name) != 0 || mt_channels_.count(name) != 0) return name;
-  const auto alias = channel_aliases_.find(name);
-  if (alias != channel_aliases_.end()) return alias->second;
-  throw ElaborationError("no channel '" + name + "'");
+std::size_t Elaboration::row_index(const std::string& name) const {
+  const auto it = row_of_.find(name);
+  if (it == row_of_.end()) throw ElaborationError("no channel '" + name + "'");
+  return it->second;
 }
 
 ChannelProbe& Elaboration::probe(const std::string& channel) {
-  const auto it = probes_.find(resolve_channel(channel));
-  if (it == probes_.end()) {
+  ChannelProbe* p = handles_[row_index(channel)].probe;
+  if (p == nullptr) {
     throw ElaborationError("channel probes are disabled for this elaboration");
   }
-  return *it->second;
+  return *p;
 }
 
 std::vector<std::string> Elaboration::channel_names() const {
-  return channel_order_;
+  std::vector<std::string> names;
+  names.reserve(rows_.size());
+  for (const sim::ChannelRow& row : rows_) names.push_back(row.name);
+  return names;
 }
 
 double Elaboration::throughput(const std::string& channel) {
@@ -204,14 +234,16 @@ double Elaboration::mean_wait(const std::string& channel) {
 }
 
 std::string Elaboration::stats_report() {
-  if (probes_.empty()) return "channel probes are disabled for this elaboration\n";
+  if (!options_.channel_probes || rows_.empty()) {
+    return "channel probes are disabled for this elaboration\n";
+  }
   std::ostringstream os;
   os << "channel            tokens  tput    mean_wait  max_wait\n";
-  for (const auto& name : channel_order_) {
-    const ChannelProbe& p = *probes_.at(name);
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    const ChannelProbe& p = *handles_[i].probe;
     char line[128];
     std::snprintf(line, sizeof(line), "%-18s %6llu  %6.3f  %9.2f  %8llu\n",
-                  name.c_str(), static_cast<unsigned long long>(p.count()),
+                  rows_[i].name.c_str(), static_cast<unsigned long long>(p.count()),
                   p.throughput(), p.mean_wait(),
                   static_cast<unsigned long long>(p.wait_histogram().max()));
     os << line;
@@ -220,17 +252,15 @@ std::string Elaboration::stats_report() {
 }
 
 elastic::Channel<Word>& Elaboration::channel(const std::string& name) {
-  const auto it = channels_.find(resolve_channel(name));
-  if (it == channels_.end()) throw ElaborationError("no single-thread channel '" + name + "'");
-  return *it->second;
+  elastic::Channel<Word>* ch = handles_[row_index(name)].st;
+  if (ch == nullptr) throw ElaborationError("no single-thread channel '" + name + "'");
+  return *ch;
 }
 
 mt::MtChannel<Word>& Elaboration::mt_channel(const std::string& name) {
-  const auto it = mt_channels_.find(resolve_channel(name));
-  if (it == mt_channels_.end()) {
-    throw ElaborationError("no multithreaded channel '" + name + "'");
-  }
-  return *it->second;
+  mt::MtChannel<Word>* ch = handles_[row_index(name)].mt;
+  if (ch == nullptr) throw ElaborationError("no multithreaded channel '" + name + "'");
+  return *ch;
 }
 
 const mt::AnyMeb<Word>& Elaboration::meb(const std::string& node_name) const {
@@ -240,45 +270,7 @@ const mt::AnyMeb<Word>& Elaboration::meb(const std::string& node_name) const {
 }
 
 void Elaboration::attach_monitor(sim::ProtocolMonitor& monitor) {
-  for (const auto& name : channel_order_) {
-    const ChannelEnds& ends = channel_ends_.at(name);
-    if (multithreaded_) {
-      auto& ch = *mt_channels_.at(name);
-      std::vector<const sim::Wire<bool>*> valid;
-      std::vector<const sim::Wire<bool>*> ready;
-      for (std::size_t t = 0; t < threads_; ++t) {
-        valid.push_back(&ch.valid(t));
-        ready.push_back(&ch.ready(t));
-      }
-      // MT valid is never persistent: every MEB/MtSource drives it
-      // through a rotating arbiter, so a stalled thread's valid legally
-      // drops when the grant moves on. Per-thread ready persists only at
-      // full-MEB inputs (private slots per thread); reduced/hybrid MEBs
-      // share slots, so a peer thread's accept retracts this thread's
-      // ready without a transfer.
-      bool persistent_ready = false;
-      if (ends.consumer_is_buffer) {
-        const auto meb_it = mebs_.find(ends.consumer);
-        persistent_ready = meb_it != mebs_.end() &&
-                           !meb_it->second.is_hybrid() &&
-                           meb_it->second.kind() == mt::MebKind::kFull;
-      }
-      monitor.watch_mt_channel(
-          name, ends.producer, ends.producer_port, ends.consumer,
-          std::move(valid), std::move(ready),
-          [&data = ch.data] { return data.get(); },
-          /*persistent_valid=*/false, persistent_ready);
-    } else {
-      auto& ch = *channels_.at(name);
-      // ST elastic-buffer outputs hold valid until the pop (occupancy
-      // semantics); rate-gated sources and derived valids (forks, joins,
-      // function units) may legally withdraw an offer.
-      monitor.watch_channel(name, ends.producer, ends.producer_port,
-                            ends.consumer, ch.valid, ch.ready,
-                            [&data = ch.data] { return data.get(); },
-                            ends.producer_is_buffer, ends.consumer_is_buffer);
-    }
-  }
+  for (const sim::ChannelRow& row : rows_) monitor.watch(row);
   // Token conservation across every buffer whose input and output are
   // both internal channels (boundary buffers lack one side): MEBs via
   // AnyMeb::total_occupancy, ST elastic buffers via the occupancy
@@ -303,22 +295,7 @@ void Elaboration::attach_monitor(sim::ProtocolMonitor& monitor) {
 }
 
 void Elaboration::bind_faults(sim::FaultInjector& injector) {
-  for (const auto& name : channel_order_) {
-    if (multithreaded_) {
-      auto& ch = *mt_channels_.at(name);
-      std::vector<sim::Wire<bool>*> valid;
-      std::vector<sim::Wire<bool>*> ready;
-      for (std::size_t t = 0; t < threads_; ++t) {
-        valid.push_back(&ch.valid(t));
-        ready.push_back(&ch.ready(t));
-      }
-      injector.bind_mt_channel(name, std::move(valid), std::move(ready),
-                               ch.data);
-    } else {
-      auto& ch = *channels_.at(name);
-      injector.bind_channel(name, ch.valid, ch.ready, ch.data);
-    }
-  }
+  for (const sim::ChannelRow& row : rows_) injector.bind(row);
   sim_.set_fault_injector(&injector);
 }
 

@@ -7,11 +7,16 @@
 // extensible registry that makes new primitives a registration, not a
 // code change.
 //
-// Besides the boundary source/sink handles, an Elaboration attaches a
-// ChannelProbe to every channel: probe("node:port") (or probe("node") for
-// single-output drivers) exposes per-thread throughput and backpressure
-// latency statistics uniformly for single-thread and multithreaded
-// designs.
+// Besides the boundary source/sink handles, an Elaboration fills the
+// channel table: one sim::ChannelRow per channel, in edge order, holding
+// the channel's names, persistence flags and S valid/ready wires plus the
+// data wire (S = 1 on a single-thread design). Every channel observer
+// reads these rows — the ChannelProbe attached to each channel, the
+// protocol monitor (attach_monitor), the fault injector (bind_faults),
+// mte_prof's trace overlay and VCD — so none of them needs a separate
+// single-thread and multithreaded path. probe("node:port") (or
+// probe("node") for single-output drivers) exposes per-thread throughput
+// and backpressure latency statistics.
 #pragma once
 
 #include <cstdint>
@@ -19,18 +24,23 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "elastic/channel.hpp"
 #include "elastic/sink.hpp"
 #include "elastic/source.hpp"
 #include "mt/meb_variant.hpp"
+#include "mt/mt_channel.hpp"
 #include "mt/mt_sink.hpp"
 #include "mt/mt_source.hpp"
 #include "netlist/channel_probe.hpp"
 #include "netlist/component_factory.hpp"
 #include "netlist/netlist.hpp"
+#include "sim/channel_row.hpp"
 #include "sim/simulator.hpp"
 
 namespace mte::netlist {
@@ -111,6 +121,12 @@ class Elaboration {
   // Channels are named after their driving endpoint, "node:port"; the bare
   // node name is accepted whenever the driver has exactly one output.
 
+  /// The channel table: one row per channel, in edge order. Rows stay
+  /// valid for the lifetime of this Elaboration.
+  [[nodiscard]] const std::vector<sim::ChannelRow>& channel_rows() const noexcept {
+    return rows_;
+  }
+
   /// Per-channel statistics: throughput, per-thread rates, backpressure
   /// wait histogram. Works identically for both elaboration modes.
   /// Throws when ElaborationOptions::channel_probes was disabled.
@@ -135,16 +151,17 @@ class Elaboration {
   [[nodiscard]] const mt::AnyMeb<Word>& meb(const std::string& node_name) const;
 
   // --- runtime robustness -------------------------------------------------
-  /// Watches every channel of this design with `monitor` (handshake
+  /// Watches every row of the channel table with `monitor` (handshake
   /// invariants MTE101..MTE104, plus MTE105 token conservation across each
-  /// MEB) and attaches it to the simulator. The monitor must outlive the
+  /// buffer) and attaches it to the simulator. The monitor must outlive the
   /// attachment (or be detached with simulator().set_monitor(nullptr)).
   /// Monitors read settled wires outside the eval phase only: they add
   /// zero settle evaluations and zero ticks.
   void attach_monitor(sim::ProtocolMonitor& monitor);
 
-  /// Binds every channel's wires into `injector` (by channel name, same
-  /// "node:port" scheme as probe()) and attaches it to the simulator.
+  /// Binds every row of the channel table into `injector` (by channel
+  /// name, same "node:port" scheme as probe()) and attaches it to the
+  /// simulator.
   void bind_faults(sim::FaultInjector& injector);
 
   // --- factory-facing registration ---------------------------------------
@@ -163,7 +180,12 @@ class Elaboration {
                         const ComponentFactory& factory, bool probes);
   void elaborate_multi(const Netlist& netlist, const FunctionRegistry& registry,
                        const ComponentFactory& factory, bool probes);
-  [[nodiscard]] const std::string& resolve_channel(const std::string& name) const;
+  /// Appends a row (wires only; the constructor fills in the endpoint
+  /// names and persistence flags once the node builders have run).
+  void add_row(std::string name, std::span<sim::Wire<bool>> valid,
+               std::span<sim::Wire<bool>> ready, sim::Wire<Word>& data,
+               const mt::ThreadMask* valid_mask, bool probes);
+  [[nodiscard]] std::size_t row_index(const std::string& name) const;
 
   sim::Simulator sim_;
   ElaborationOptions options_;
@@ -175,27 +197,23 @@ class Elaboration {
   std::map<std::string, mt::MtSink<Word>*> mt_sinks_;
   std::map<std::string, mt::AnyMeb<Word>> mebs_;
   std::map<std::string, std::function<int()>> buffer_occupancy_;
-  std::map<std::string, elastic::Channel<Word>*> channels_;
-  std::map<std::string, mt::MtChannel<Word>*> mt_channels_;
-  std::map<std::string, ChannelProbe*> probes_;
-  std::map<std::string, std::string> channel_aliases_;  // "node" -> "node:0"
-  std::vector<std::string> channel_order_;
 
-  // Endpoint records for the robustness layer: which nodes drive and
-  // consume each channel (violation locus, wait-for-graph nodes), and each
-  // buffer node's in/out channels (MEB conservation watch).
-  struct ChannelEnds {
-    std::string producer;
-    std::string producer_port;
-    std::string consumer;
-    bool producer_is_buffer = false;
-    bool consumer_is_buffer = false;
+  // The channel table, and per row the typed channel (exactly one of st/mt
+  // is set, by elaboration mode) and the probe (null when probes are off).
+  struct RowHandles {
+    elastic::Channel<Word>* st = nullptr;
+    mt::MtChannel<Word>* mt = nullptr;
+    ChannelProbe* probe = nullptr;
   };
+  std::vector<sim::ChannelRow> rows_;
+  std::vector<RowHandles> handles_;
+  std::unordered_map<std::string, std::size_t> row_of_;  // names + bare-node aliases
+
+  // Each buffer node's in/out channels (token-conservation watch).
   struct BufferIo {
     std::string in_channel;
     std::string out_channel;
   };
-  std::map<std::string, ChannelEnds> channel_ends_;
   std::map<std::string, BufferIo> buffer_io_;
 };
 

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "sim/trace.hpp"
-
 namespace mte::obs {
 namespace {
 
@@ -66,12 +64,6 @@ void TraceSession::add_transfer(std::uint64_t cycle, std::string_view channel,
                                 int thread, std::uint64_t tag) {
   if (!reserve(1)) return;
   transfers_.push_back(TransferRow{cycle, std::string(channel), thread, tag});
-}
-
-void TraceSession::add_transfers(const sim::TraceRecorder& recorder) {
-  for (const sim::TransferEvent& e : recorder.events()) {
-    add_transfer(e.cycle, e.channel, e.thread, e.tag);
-  }
 }
 
 std::size_t TraceSession::event_count() const noexcept { return used_; }

@@ -10,8 +10,10 @@
 //                      "tick_elision" instants (ph "i") on cycles where
 //                      the event kernel elided commits; a
 //                      "demoted_to_naive" instant if the kernel demoted.
-//   tid 3 "transfers"  completed handshakes (from a sim::TraceRecorder
-//                      or added directly) as instants named after the
+//   tid 3 "transfers"  completed handshakes, added per transfer with
+//                      add_transfer (mte_prof's overlay reads the channel
+//                      table once per cycle; the watchdog replays the
+//                      monitor's tail), as instants named after the
 //                      channel, args carrying thread and tag.
 //
 // The session is BOUNDED: a hard event cap (Options::max_events, default
@@ -27,10 +29,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-
-namespace mte::sim {
-class TraceRecorder;
-}
 
 namespace mte::obs {
 
@@ -55,9 +53,6 @@ class TraceSession {
   /// One completed transfer on the overlay track.
   void add_transfer(std::uint64_t cycle, std::string_view channel, int thread,
                     std::uint64_t tag);
-
-  /// Overlays every event of a TraceRecorder (bounded by the cap).
-  void add_transfers(const sim::TraceRecorder& recorder);
 
   /// JSON events emitted so far (excluding the fixed metadata events).
   [[nodiscard]] std::size_t event_count() const noexcept;

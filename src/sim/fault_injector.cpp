@@ -1,6 +1,6 @@
 #include "sim/fault_injector.hpp"
 
-#include <utility>
+#include <string>
 
 namespace mte::sim {
 
@@ -28,26 +28,7 @@ const char* to_string(FaultKind kind) noexcept {
   return "unknown";
 }
 
-void FaultInjector::bind_channel(const std::string& name, Wire<bool>& valid,
-                                 Wire<bool>& ready,
-                                 Wire<std::uint64_t>& data) {
-  Binding b;
-  b.valid = {&valid};
-  b.ready = {&ready};
-  b.data = &data;
-  bindings_[name] = std::move(b);
-}
-
-void FaultInjector::bind_mt_channel(const std::string& name,
-                                    std::vector<Wire<bool>*> valid,
-                                    std::vector<Wire<bool>*> ready,
-                                    Wire<std::uint64_t>& data) {
-  Binding b;
-  b.valid = std::move(valid);
-  b.ready = std::move(ready);
-  b.data = &data;
-  bindings_[name] = std::move(b);
-}
+void FaultInjector::bind(const ChannelRow& row) { bindings_[row.name] = &row; }
 
 bool FaultInjector::apply(Cycle now) {
   bool wrote = false;
@@ -60,22 +41,30 @@ bool FaultInjector::apply(Cycle now) {
                             to_string(f.kind) + "' targets unbound channel '" +
                             f.channel + "'");
     }
-    Binding& b = it->second;
-    const std::size_t t = f.thread < b.valid.size() ? f.thread : 0;
+    const ChannelRow& row = *it->second;
+    // A single-thread channel has one handshake pair and ignores `thread`.
+    const std::size_t t = row.multithreaded() ? f.thread : 0;
+    if (t >= row.threads()) {
+      throw SimulationError(std::string("FaultInjector: fault '") +
+                            to_string(f.kind) + "' targets thread " +
+                            std::to_string(t) + " of channel '" + f.channel +
+                            "', which has " + std::to_string(row.threads()) +
+                            " thread(s)");
+    }
     switch (f.kind) {
       case FaultKind::kStuckValid:
       case FaultKind::kDuplicate:
-        b.valid[t]->set(true);
+        row.valid[t].set(true);
         break;
       case FaultKind::kDropValid:
-        b.valid[t]->set(false);
+        row.valid[t].set(false);
         break;
       case FaultKind::kDropReady:
-        b.ready[t]->set(false);
+        row.ready[t].set(false);
         break;
       case FaultKind::kCorruptData: {
         const std::uint64_t mask = mix64(seed_ ^ mix64(now) ^ fi) | 1;
-        b.data->set(b.data->get() ^ mask);
+        row.data->set(row.data->get() ^ mask);
         break;
       }
     }

@@ -2,6 +2,10 @@
 // channels, for adversarial validation of the ProtocolMonitor.
 //
 // A fault plan is a list of (kind, channel, thread, cycle window) entries.
+// Channels are rows of the channel table (sim/channel_row.hpp), bound by
+// name with bind(); Elaboration::bind_faults binds every row. A fault
+// writes thread `thread`'s valid/ready wire of a multithreaded row and the
+// only pair of a single-thread row.
 // The injector is a Simulator attachment (null-checked pointer, zero cost
 // when detached): after each settle, and after the registered observers
 // have seen the true values, apply() overwrites the targeted wires so the
@@ -35,8 +39,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/channel_row.hpp"
 #include "sim/types.hpp"
-#include "sim/wire.hpp"
 
 namespace mte::sim {
 
@@ -66,35 +70,25 @@ class FaultInjector {
   void add(const Fault& fault) { plan_.push_back(fault); }
   [[nodiscard]] const std::vector<Fault>& plan() const noexcept { return plan_; }
 
-  /// Binds a single-threaded channel's wires. Elaboration::bind_faults
-  /// does this for every channel of an elaborated netlist.
-  void bind_channel(const std::string& name, Wire<bool>& valid,
-                    Wire<bool>& ready, Wire<std::uint64_t>& data);
-
-  /// Binds a multithreaded channel (per-thread valid/ready, shared data).
-  void bind_mt_channel(const std::string& name,
-                       std::vector<Wire<bool>*> valid,
-                       std::vector<Wire<bool>*> ready,
-                       Wire<std::uint64_t>& data);
+  /// Binds one channel of the table under its name. Elaboration::
+  /// bind_faults binds every channel of an elaborated netlist. The row
+  /// must outlive the injector's use of it.
+  void bind(const ChannelRow& row);
 
   /// Applies every fault whose window covers `now` to the bound wires.
   /// Returns true if any wire was written (the Simulator then forces a
   /// full re-settle for the next cycle). Throws SimulationError if a
-  /// planned fault names an unbound channel — a silent no-op would make
-  /// the adversarial tests vacuous.
+  /// planned fault names an unbound channel, or a thread the channel does
+  /// not have (a multithreaded channel with S threads has 0..S-1; a
+  /// single-thread channel ignores `thread`) — a silent no-op or a
+  /// redirected write would make the adversarial tests vacuous.
   bool apply(Cycle now);
 
   /// Wire writes performed so far (diagnostics).
   [[nodiscard]] std::uint64_t injected_count() const noexcept { return injected_; }
 
  private:
-  struct Binding {
-    std::vector<Wire<bool>*> valid;
-    std::vector<Wire<bool>*> ready;
-    Wire<std::uint64_t>* data = nullptr;
-  };
-
-  std::map<std::string, Binding> bindings_;
+  std::map<std::string, const ChannelRow*> bindings_;
   std::vector<Fault> plan_;
   std::uint64_t seed_;
   std::uint64_t injected_ = 0;

@@ -1,7 +1,8 @@
 #include "sim/protocol_monitor.hpp"
 
-#include <algorithm>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/trace_session.hpp"
@@ -16,66 +17,15 @@ std::string ProtocolViolation::format() const {
   return os.str();
 }
 
-std::size_t ProtocolMonitor::add_channel(WatchedChannel ch) {
-  if (by_name_.count(ch.name) != 0) {
-    throw SimulationError("ProtocolMonitor: channel '" + ch.name +
+void ProtocolMonitor::watch(const ChannelRow& row) {
+  if (!by_name_.emplace(row.name, channels_.size()).second) {
+    throw SimulationError("ProtocolMonitor: channel '" + row.name +
                           "' is already watched");
   }
-  if (ch.valid.size() != ch.ready.size() || ch.valid.empty()) {
-    throw SimulationError("ProtocolMonitor: channel '" + ch.name +
-                          "' has mismatched valid/ready wire counts");
-  }
-  ch.prev.assign(ch.valid.size(), ThreadState{});
-  const std::size_t index = channels_.size();
-  by_name_.emplace(ch.name, index);
+  WatchedChannel ch;
+  ch.row = &row;
+  ch.prev.assign(row.threads(), ThreadState{});
   channels_.push_back(std::move(ch));
-  return index;
-}
-
-void ProtocolMonitor::watch_channel(const std::string& name,
-                                    const std::string& producer,
-                                    const std::string& producer_port,
-                                    const std::string& consumer,
-                                    const Wire<bool>& valid,
-                                    const Wire<bool>& ready,
-                                    std::function<std::uint64_t()> data,
-                                    bool persistent_valid,
-                                    bool persistent_ready) {
-  WatchedChannel ch;
-  ch.name = name;
-  ch.producer = producer;
-  ch.producer_port = producer_port;
-  ch.consumer = consumer;
-  ch.valid = {&valid};
-  ch.ready = {&ready};
-  ch.data = std::move(data);
-  ch.persistent_valid = persistent_valid;
-  ch.persistent_ready = persistent_ready;
-  ch.mt = false;
-  add_channel(std::move(ch));
-}
-
-void ProtocolMonitor::watch_mt_channel(const std::string& name,
-                                       const std::string& producer,
-                                       const std::string& producer_port,
-                                       const std::string& consumer,
-                                       std::vector<const Wire<bool>*> valid,
-                                       std::vector<const Wire<bool>*> ready,
-                                       std::function<std::uint64_t()> data,
-                                       bool persistent_valid,
-                                       bool persistent_ready) {
-  WatchedChannel ch;
-  ch.name = name;
-  ch.producer = producer;
-  ch.producer_port = producer_port;
-  ch.consumer = consumer;
-  ch.valid = std::move(valid);
-  ch.ready = std::move(ready);
-  ch.data = std::move(data);
-  ch.persistent_valid = persistent_valid;
-  ch.persistent_ready = persistent_ready;
-  ch.mt = true;
-  add_channel(std::move(ch));
 }
 
 void ProtocolMonitor::watch_conservation(const std::string& component,
@@ -106,9 +56,9 @@ void ProtocolMonitor::record(const WatchedChannel& ch, const char* code,
   }
   ProtocolViolation v;
   v.code = code;
-  v.channel = ch.name;
-  v.component = ch.producer;
-  v.port = ch.producer_port;
+  v.channel = ch.row->name;
+  v.component = ch.row->producer;
+  v.port = ch.row->producer_port;
   v.thread = thread;
   v.cycle = cycle;
   v.message = std::move(message);
@@ -118,16 +68,17 @@ void ProtocolMonitor::record(const WatchedChannel& ch, const char* code,
 void ProtocolMonitor::on_cycle(Cycle now) {
   for (std::size_t ci = 0; ci < channels_.size(); ++ci) {
     WatchedChannel& ch = channels_[ci];
-    const std::uint64_t data = ch.data ? ch.data() : 0;
+    const ChannelRow& row = *ch.row;
+    const std::uint64_t data = row.data->get();
     ch.fired_now = 0;
     std::size_t valid_count = 0;
     int first_valid = -1;
     int extra_valid = -1;
-    for (std::size_t t = 0; t < ch.valid.size(); ++t) {
-      const bool v = ch.valid[t]->get();
-      const bool r = ch.ready[t]->get();
+    for (std::size_t t = 0; t < row.threads(); ++t) {
+      const bool v = row.valid[t].get();
+      const bool r = row.ready[t].get();
       const bool fired = v && r;
-      const int thread = ch.mt ? static_cast<int>(t) : -1;
+      const int thread = row.multithreaded() ? static_cast<int>(t) : -1;
       if (v) {
         ++valid_count;
         if (first_valid < 0) {
@@ -143,10 +94,10 @@ void ProtocolMonitor::on_cycle(Cycle now) {
             // Only a contract violation where valid derives from buffer
             // occupancy; rate-gated sources and arbitrated MEB outputs
             // may legally withdraw the offer.
-            if (ch.persistent_valid) {
+            if (row.persistent_valid) {
               record(ch, "MTE101", thread, now,
                      "valid retracted while stalled (producer '" +
-                         ch.producer +
+                         row.producer +
                          "' is an elastic buffer whose valid only drops by a "
                          "completed transfer)");
             }
@@ -158,10 +109,10 @@ void ProtocolMonitor::on_cycle(Cycle now) {
             record(ch, "MTE102", thread, now, os.str());
           }
         }
-        if (ch.persistent_ready && p.ready && !p.fired && !r) {
+        if (row.persistent_ready && p.ready && !p.fired && !r) {
           record(ch, "MTE103", thread, now,
                  "ready retracted without a transfer (consumer '" +
-                     ch.consumer +
+                     row.consumer +
                      "' is an elastic buffer whose can_accept only drops by "
                      "accepting)");
         }
@@ -179,7 +130,7 @@ void ProtocolMonitor::on_cycle(Cycle now) {
       ch.prev[t].fired = fired;
       ch.prev[t].data = data;
     }
-    if (ch.mt && valid_count > 1) {
+    if (row.multithreaded() && valid_count > 1) {
       std::ostringstream os;
       os << valid_count << " threads assert valid in the same cycle (threads "
          << first_valid << " and " << extra_valid
@@ -215,7 +166,7 @@ void ProtocolMonitor::on_cycle(Cycle now) {
 void ProtocolMonitor::reset() {
   for (WatchedChannel& ch : channels_) {
     ch.has_prev = false;
-    ch.prev.assign(ch.valid.size(), ThreadState{});
+    ch.prev.assign(ch.row->threads(), ThreadState{});
     ch.fired_now = 0;
     ch.ever_fired = false;
     ch.last_fire = 0;
@@ -237,38 +188,42 @@ std::string ProtocolMonitor::report() const {
 }
 
 std::string ProtocolMonitor::diagnose_stall(Cycle now, Cycle idle) const {
+  // The wait-for graph: components become dense ids, and every waiting
+  // channel is one edge, in channel order.
   struct WaitEdge {
-    const WatchedChannel* ch;
-    const std::string* from;  // waiting component
-    const std::string* to;    // component it waits on
-    bool starved;             // else backpressured
+    std::size_t channel;  // index into channels_
+    std::size_t from;     // waiting component
+    std::size_t to;       // component it waits on
+    bool starved;         // else backpressured
+  };
+  std::unordered_map<std::string_view, std::size_t> ids;
+  const auto id_of = [&ids](const std::string& node) {
+    return ids.emplace(node, ids.size()).first->second;
   };
   std::vector<WaitEdge> edges;
-  std::map<std::string, std::vector<std::size_t>> out_edges;
-  for (const WatchedChannel& ch : channels_) {
+  for (std::size_t ci = 0; ci < channels_.size(); ++ci) {
+    const ChannelRow& row = *channels_[ci].row;
     bool any_valid = false;
     bool any_stalled = false;
-    for (std::size_t t = 0; t < ch.valid.size(); ++t) {
-      const bool v = ch.valid[t]->get();
+    for (std::size_t t = 0; t < row.threads(); ++t) {
+      const bool v = row.valid[t].get();
       any_valid |= v;
-      any_stalled |= v && !ch.ready[t]->get();
+      any_stalled |= v && !row.ready[t].get();
     }
-    WaitEdge e{&ch, nullptr, nullptr, false};
+    if (any_valid && !any_stalled) continue;  // valid && ready: about to fire
+    const std::size_t producer = id_of(row.producer);
+    const std::size_t consumer = id_of(row.consumer);
     if (any_stalled) {
       // Backpressure: the producer holds a token the consumer won't take.
-      e.from = &ch.producer;
-      e.to = &ch.consumer;
-      e.starved = false;
-    } else if (!any_valid) {
-      // Starvation: the consumer is waiting for the producer to supply.
-      e.from = &ch.consumer;
-      e.to = &ch.producer;
-      e.starved = true;
+      edges.push_back(WaitEdge{ci, producer, consumer, false});
     } else {
-      continue;  // valid && ready: about to fire, not waiting
+      // Starvation: the consumer is waiting for the producer to supply.
+      edges.push_back(WaitEdge{ci, consumer, producer, true});
     }
-    out_edges[*e.from].push_back(edges.size());
-    edges.push_back(e);
+  }
+  std::vector<std::vector<std::size_t>> out_edges(ids.size());
+  for (std::size_t ei = 0; ei < edges.size(); ++ei) {
+    out_edges[edges[ei].from].push_back(ei);
   }
 
   std::ostringstream os;
@@ -277,12 +232,15 @@ std::string ProtocolMonitor::diagnose_stall(Cycle now, Cycle idle) const {
      << ")\n";
 
   auto describe = [&](const WaitEdge& e) {
+    const WatchedChannel& ch = channels_[e.channel];
+    const ChannelRow& row = *ch.row;
     std::ostringstream line;
-    line << "  '" << *e.from << "' waits for '" << *e.to << "' (channel '"
-         << e.ch->name << "' " << (e.starved ? "starved" : "backpressured")
+    line << "  '" << (e.starved ? row.consumer : row.producer) << "' waits for '"
+         << (e.starved ? row.producer : row.consumer) << "' (channel '"
+         << row.name << "' " << (e.starved ? "starved" : "backpressured")
          << ", ";
-    if (e.ch->ever_fired) {
-      line << "last transfer at cycle " << e.ch->last_fire;
+    if (ch.ever_fired) {
+      line << "last transfer at cycle " << ch.last_fire;
     } else {
       line << "never fired";
     }
@@ -290,43 +248,46 @@ std::string ProtocolMonitor::diagnose_stall(Cycle now, Cycle idle) const {
     return line.str();
   };
 
-  // DFS for a wait cycle over the component graph.
-  std::map<std::string, int> state;  // 0 unvisited, 1 on stack, 2 done
-  std::vector<std::size_t> stack;    // edge indices of the current path
-  std::function<bool(const std::string&)> dfs = [&](const std::string& node) {
-    state[node] = 1;
-    const auto it = out_edges.find(node);
-    if (it != out_edges.end()) {
-      for (const std::size_t ei : it->second) {
-        const std::string& next = *edges[ei].to;
-        const int s = state.count(next) ? state[next] : 0;
-        if (s == 1) {
-          // Found a cycle: emit the path suffix starting at `next`.
-          os << "wait-for cycle detected:\n";
-          bool in_cycle = false;
-          stack.push_back(ei);
-          for (const std::size_t pe : stack) {
-            if (*edges[pe].from == next) in_cycle = true;
-            if (in_cycle) os << describe(edges[pe]) << '\n';
-          }
-          stack.pop_back();
-          return true;
-        }
-        if (s == 0) {
-          stack.push_back(ei);
-          if (dfs(next)) return true;
-          stack.pop_back();
-        }
-      }
-    }
-    state[node] = 2;
-    return false;
+  // DFS for a wait cycle over the component graph: roots and out-edges in
+  // edge order, on an explicit stack so a long stalled chain cannot
+  // overflow the call stack.
+  struct Frame {
+    std::size_t node;
+    std::size_t in_edge;  // the edge that reached `node` (unused at a root)
+    std::size_t next;     // position in out_edges[node]
   };
+  std::vector<char> state(ids.size(), 0);  // 0 unvisited, 1 on path, 2 done
+  std::vector<Frame> frames;               // the current path
   bool found = false;
-  for (const WaitEdge& e : edges) {
-    if ((state.count(*e.from) ? state[*e.from] : 0) == 0 && dfs(*e.from)) {
-      found = true;
-      break;
+  for (std::size_t root = 0; root < edges.size() && !found; ++root) {
+    if (state[edges[root].from] != 0) continue;
+    state[edges[root].from] = 1;
+    frames.push_back(Frame{edges[root].from, 0, 0});
+    while (!frames.empty() && !found) {
+      Frame& f = frames.back();
+      if (f.next == out_edges[f.node].size()) {
+        state[f.node] = 2;
+        frames.pop_back();
+        continue;
+      }
+      const std::size_t ei = out_edges[f.node][f.next++];
+      const std::size_t next = edges[ei].to;
+      if (state[next] == 1) {
+        // Found a cycle: emit the path suffix starting at `next`, closed
+        // by edge ei.
+        os << "wait-for cycle detected:\n";
+        bool in_cycle = false;
+        for (std::size_t i = 1; i < frames.size(); ++i) {
+          const WaitEdge& pe = edges[frames[i].in_edge];
+          if (pe.from == next) in_cycle = true;
+          if (in_cycle) os << describe(pe) << '\n';
+        }
+        os << describe(edges[ei]) << '\n';
+        found = true;
+      } else if (state[next] == 0) {
+        state[next] = 1;
+        frames.push_back(Frame{next, ei, 0});
+      }
     }
   }
   if (!found) {
@@ -346,7 +307,7 @@ std::string ProtocolMonitor::diagnose_stall(Cycle now, Cycle idle) const {
 
 void ProtocolMonitor::export_trace_tail(obs::TraceSession& trace) const {
   for (const TraceEvent& e : tail_) {
-    trace.add_transfer(e.cycle, channels_[e.channel].name, e.thread, e.data);
+    trace.add_transfer(e.cycle, channels_[e.channel].row->name, e.thread, e.data);
   }
 }
 

@@ -34,6 +34,11 @@
 //   MTE110  no-progress watchdog (raised by Simulator::set_watchdog using
 //           this monitor's transfer count as the progress signal).
 //
+// The monitor watches rows of the channel table (sim/channel_row.hpp;
+// Elaboration::attach_monitor watches every row): one watch() for single-
+// thread and multithreaded channels alike, reading the row's valid, ready
+// and data wires directly.
+//
 // The monitor is a pull-based Simulator attachment (the same pattern as
 // obs::PhaseProfiler / obs::TraceSession, and deliberately NOT a
 // Component): when detached it costs nothing, and when attached it adds
@@ -51,8 +56,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/channel_row.hpp"
 #include "sim/types.hpp"
-#include "sim/wire.hpp"
 
 namespace mte::obs {
 class TraceSession;
@@ -77,31 +82,11 @@ struct ProtocolViolation {
 
 class ProtocolMonitor {
  public:
-  /// Watches a single-threaded channel. `data` is read once per cycle for
-  /// the stability check (MTE102); pass nullptr-free accessors only.
-  /// `persistent_valid` enables MTE101 (set it when the producer is an
-  /// elastic buffer, whose valid only drops by a transfer);
-  /// `persistent_ready` enables MTE103 (set it when the consumer is an
-  /// elastic buffer, whose can_accept only drops by accepting).
-  void watch_channel(const std::string& name, const std::string& producer,
-                     const std::string& producer_port,
-                     const std::string& consumer, const Wire<bool>& valid,
-                     const Wire<bool>& ready,
-                     std::function<std::uint64_t()> data,
-                     bool persistent_valid, bool persistent_ready);
-
-  /// Watches a multithreaded channel: per-thread valid/ready wires plus
-  /// the shared data word. Adds the MTE104 single-active-thread check.
-  /// `persistent_valid` should stay false for channels driven through a
-  /// rotating arbiter (every MEB/MtSource in this design): a stalled
-  /// thread's valid legally drops when the grant moves on.
-  void watch_mt_channel(const std::string& name, const std::string& producer,
-                        const std::string& producer_port,
-                        const std::string& consumer,
-                        std::vector<const Wire<bool>*> valid,
-                        std::vector<const Wire<bool>*> ready,
-                        std::function<std::uint64_t()> data,
-                        bool persistent_valid, bool persistent_ready);
+  /// Watches one channel of the table: MTE101..MTE103 on every thread,
+  /// plus MTE104 (single active thread) on a multithreaded row. The row's
+  /// persistence flags enable MTE101/MTE103; its data wire is read once
+  /// per cycle for MTE102. The row must outlive the monitor's use of it.
+  void watch(const ChannelRow& row);
 
   /// Watches token conservation across a buffer: `occupancy` is compared
   /// against the net transfer count of the (already watched) input and
@@ -157,16 +142,7 @@ class ProtocolMonitor {
     std::uint64_t data = 0;
   };
   struct WatchedChannel {
-    std::string name;
-    std::string producer;
-    std::string producer_port;
-    std::string consumer;
-    std::vector<const Wire<bool>*> valid;
-    std::vector<const Wire<bool>*> ready;
-    std::function<std::uint64_t()> data;
-    bool persistent_valid = false;
-    bool persistent_ready = false;
-    bool mt = false;
+    const ChannelRow* row = nullptr;
     bool has_prev = false;
     std::vector<ThreadState> prev;
     std::uint64_t fired_now = 0;  // transfers observed this on_cycle
@@ -190,7 +166,6 @@ class ProtocolMonitor {
     std::uint64_t data = 0;
   };
 
-  std::size_t add_channel(WatchedChannel ch);
   void record(const WatchedChannel& ch, const char* code, int thread,
               Cycle cycle, std::string message);
 

@@ -5,38 +5,6 @@
 
 namespace mte::sim {
 
-void TraceRecorder::unrotate() const {
-  std::rotate(events_.begin(),
-              events_.begin() + static_cast<std::ptrdiff_t>(head_), events_.end());
-  head_ = 0;
-}
-
-void TraceRecorder::set_capacity(std::size_t capacity) {
-  if (head_ != 0) unrotate();
-  capacity_ = capacity;
-  if (capacity_ != 0 && events_.size() > capacity_) {
-    const std::size_t excess = events_.size() - capacity_;
-    events_.erase(events_.begin(), events_.begin() + static_cast<std::ptrdiff_t>(excess));
-    dropped_ += excess;
-  }
-}
-
-std::vector<TransferEvent> TraceRecorder::channel_events(const std::string& channel) const {
-  std::vector<TransferEvent> out;
-  for (const auto& e : events()) {
-    if (e.channel == channel) out.push_back(e);
-  }
-  return out;
-}
-
-std::vector<std::uint64_t> TraceRecorder::tags(const std::string& channel, int thread) const {
-  std::vector<std::uint64_t> out;
-  for (const auto& e : events()) {
-    if (e.channel == channel && e.thread == thread) out.push_back(e.tag);
-  }
-  return out;
-}
-
 void Timeline::declare_row(const std::string& row) {
   if (std::find(row_order_.begin(), row_order_.end(), row) == row_order_.end()) {
     row_order_.push_back(row);

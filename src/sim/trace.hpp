@@ -1,12 +1,11 @@
-// Transfer-event tracing and textual timeline rendering.
+// Textual timeline rendering.
 //
-// Elastic components report every completed handshake (valid && ready at a
-// clock edge) to a TraceRecorder. Benchmarks use the recorded events to
-// print cycle-by-cycle flow diagrams like the paper's Fig. 5 and to check
-// ordering/conservation properties in tests.
+// Benchmarks fill a Timeline from per-cycle observers (Simulator::on_cycle)
+// that read settled channel wires, and print cycle-by-cycle flow diagrams
+// like the paper's Fig. 1 and Fig. 5. Completed transfers reach the Chrome
+// trace through obs::TraceSession::add_transfer instead.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -14,72 +13,6 @@
 #include "sim/types.hpp"
 
 namespace mte::sim {
-
-/// One completed elastic transfer.
-struct TransferEvent {
-  Cycle cycle = 0;
-  std::string channel;  ///< name of the channel the transfer occurred on
-  int thread = 0;       ///< thread index (0 for single-threaded channels)
-  std::uint64_t tag = 0;  ///< token identity (payload or sequence number)
-
-  friend bool operator==(const TransferEvent&, const TransferEvent&) = default;
-};
-
-class TraceRecorder {
- public:
-  void record(Cycle cycle, const std::string& channel, int thread, std::uint64_t tag) {
-    if (capacity_ != 0 && events_.size() == capacity_) {
-      // Ring mode: overwrite the oldest event in place. events() restores
-      // chronological order lazily, so steady-state recording is O(1)
-      // with zero reallocation — the shape million-token streaming runs
-      // need.
-      events_[head_] = TransferEvent{cycle, channel, thread, tag};
-      head_ = (head_ + 1) % capacity_;
-      ++dropped_;
-      return;
-    }
-    events_.push_back(TransferEvent{cycle, channel, thread, tag});
-  }
-
-  /// Bounds the recorder to the most recent `capacity` events (0 =
-  /// unbounded, the default). Overwritten events are counted by
-  /// dropped_events(). Shrinking below the current size drops the oldest
-  /// events immediately.
-  void set_capacity(std::size_t capacity);
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
-  /// Events overwritten by the ring bound since the last clear().
-  [[nodiscard]] std::uint64_t dropped_events() const noexcept { return dropped_; }
-
-  /// The retained events, oldest first. With a ring bound these are the
-  /// most recent capacity() events; unbounded, all of them.
-  [[nodiscard]] const std::vector<TransferEvent>& events() const noexcept {
-    if (head_ != 0) unrotate();
-    return events_;
-  }
-
-  /// Events on a single channel, in record order.
-  [[nodiscard]] std::vector<TransferEvent> channel_events(const std::string& channel) const;
-
-  /// Tags transferred on `channel` for `thread`, in transfer order.
-  [[nodiscard]] std::vector<std::uint64_t> tags(const std::string& channel, int thread) const;
-
-  void clear() noexcept {
-    events_.clear();
-    head_ = 0;
-    dropped_ = 0;
-  }
-
- private:
-  void unrotate() const;
-
-  // The ring overwrites in place and events() restores chronological
-  // order on demand; both must look const to readers, hence mutable.
-  mutable std::vector<TransferEvent> events_;
-  mutable std::size_t head_ = 0;  // oldest event's index while rotated
-  std::size_t capacity_ = 0;      // 0 = unbounded
-  std::uint64_t dropped_ = 0;
-};
 
 /// A column-aligned text timeline: rows are named resources (channels,
 /// buffer slots), columns are cycles, cells are short labels such as "A3".

@@ -1,6 +1,6 @@
 // End-to-end tests of the mte_prof binary: exit codes, metrics snapshot
-// byte-identity across runs at the same seed, trace export, and output
-// format selection. Drives the real executable (path injected by CMake
+// byte-identity across runs at the same seed, trace export, channel
+// observation pinned to goldens, and output format selection. Drives the real executable (path injected by CMake
 // as MTE_PROF_BIN).
 #include <gtest/gtest.h>
 
@@ -97,6 +97,43 @@ TEST(MteProfCli, TraceIsByteIdenticalAcrossRuns) {
   const std::string a = slurp(a_path);
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, slurp(b_path));
+}
+
+/// The transfer-track instants ("tid":3, "ph":"i") of a trace, one per
+/// line in file order. The phase spans are left out: their eval and tick
+/// counts legitimately move with kernel performance work.
+std::string transfer_instants(const std::string& json) {
+  const std::string prefix = "{\"ph\":\"i\",\"pid\":1,\"tid\":3,";
+  std::string out;
+  for (std::size_t at = json.find(prefix); at != std::string::npos;
+       at = json.find(prefix, at + 1)) {
+    const std::size_t end = json.find("}}", at);
+    if (end == std::string::npos) break;
+    out.append(json, at, end + 2 - at);
+    out += '\n';
+  }
+  return out;
+}
+
+TEST(MteProfCli, ChannelObservationMatchesGoldens) {
+  // The trace's transfer overlay and the VCD, byte for byte, on a
+  // multithreaded and a single-thread example.
+  for (const std::string name : {"fig5_pipeline", "st_diamond"}) {
+    SCOPED_TRACE(name);
+    const std::string trace = ::testing::TempDir() + "mte_prof_obs_" + name + ".json";
+    const std::string vcd = ::testing::TempDir() + "mte_prof_obs_" + name + ".vcd";
+    ASSERT_EQ(run_prof("--cycles 24 --seed 3 --quiet --trace " + trace + " --vcd " +
+                       vcd + " " + example(name + ".enl"))
+                  .exit_code,
+              0);
+    const std::string golden = std::string(MTE_SOURCE_DIR) + "/tests/obs/golden/" + name;
+    const std::string golden_vcd = slurp(golden + ".vcd");
+    const std::string golden_transfers = slurp(golden + ".transfers.txt");
+    ASSERT_FALSE(golden_vcd.empty());
+    ASSERT_FALSE(golden_transfers.empty());
+    EXPECT_EQ(slurp(vcd), golden_vcd);
+    EXPECT_EQ(transfer_instants(slurp(trace)), golden_transfers);
+  }
 }
 
 TEST(MteProfCli, BadFlagExitsTwo) {

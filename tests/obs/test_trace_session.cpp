@@ -6,7 +6,6 @@
 #include <string>
 
 #include "obs/trace_session.hpp"
-#include "sim/trace.hpp"
 
 namespace mte::obs {
 namespace {
@@ -42,12 +41,10 @@ TEST(TraceSession, CapCountsDropsInsteadOfGrowing) {
   EXPECT_NE(json.find("\"dropped_events\":3"), std::string::npos);
 }
 
-TEST(TraceSession, TransfersOverlayFromRecorder) {
-  sim::TraceRecorder rec;
-  rec.record(3, "ch0", 0, 100);
-  rec.record(4, "ch1", 1, 200);
+TEST(TraceSession, TransfersOverlayTrack) {
   TraceSession trace;
-  trace.add_transfers(rec);
+  trace.add_transfer(3, "ch0", 0, 100);
+  trace.add_transfer(4, "ch1", 1, 200);
   EXPECT_EQ(trace.event_count(), 2u);
   const std::string json = trace.to_json();
   EXPECT_NE(json.find("\"ch0\""), std::string::npos);

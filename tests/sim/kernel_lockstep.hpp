@@ -76,40 +76,29 @@ struct LockstepOptions {
   bool monitors = false;
 };
 
-/// Per-cycle wire comparison across every channel of the two elaborations.
-inline ::testing::AssertionResult channels_equal(
-    Elaboration& ref, Elaboration& dut, const std::vector<std::string>& names) {
-  for (const auto& name : names) {
-    if (ref.is_multithreaded()) {
-      auto& a = ref.mt_channel(name);
-      auto& b = dut.mt_channel(name);
-      if (a.data.get() != b.data.get()) {
+/// Per-cycle wire comparison across every row of the two elaborations'
+/// channel tables.
+inline ::testing::AssertionResult channels_equal(Elaboration& ref, Elaboration& dut) {
+  const auto& ref_rows = ref.channel_rows();
+  const auto& dut_rows = dut.channel_rows();
+  for (std::size_t i = 0; i < ref_rows.size(); ++i) {
+    const sim::ChannelRow& a = ref_rows[i];
+    const sim::ChannelRow& b = dut_rows[i];
+    if (a.data->get() != b.data->get()) {
+      return ::testing::AssertionFailure()
+             << "channel '" << a.name << "' data: naive=" << a.data->get()
+             << " event=" << b.data->get();
+    }
+    for (std::size_t t = 0; t < a.threads(); ++t) {
+      if (a.valid[t].get() != b.valid[t].get()) {
         return ::testing::AssertionFailure()
-               << "channel '" << name << "' data: naive=" << a.data.get()
-               << " event=" << b.data.get();
+               << "channel '" << a.name << "' valid(" << t
+               << "): naive=" << a.valid[t].get() << " event=" << b.valid[t].get();
       }
-      for (std::size_t t = 0; t < a.threads(); ++t) {
-        if (a.valid(t).get() != b.valid(t).get()) {
-          return ::testing::AssertionFailure()
-                 << "channel '" << name << "' valid(" << t
-                 << "): naive=" << a.valid(t).get() << " event=" << b.valid(t).get();
-        }
-        if (a.ready(t).get() != b.ready(t).get()) {
-          return ::testing::AssertionFailure()
-                 << "channel '" << name << "' ready(" << t
-                 << "): naive=" << a.ready(t).get() << " event=" << b.ready(t).get();
-        }
-      }
-    } else {
-      auto& a = ref.channel(name);
-      auto& b = dut.channel(name);
-      if (a.valid.get() != b.valid.get() || a.ready.get() != b.ready.get() ||
-          a.data.get() != b.data.get()) {
+      if (a.ready[t].get() != b.ready[t].get()) {
         return ::testing::AssertionFailure()
-               << "channel '" << name << "': naive (v=" << a.valid.get()
-               << " r=" << a.ready.get() << " d=" << a.data.get()
-               << ") event (v=" << b.valid.get() << " r=" << b.ready.get()
-               << " d=" << b.data.get() << ")";
+               << "channel '" << a.name << "' ready(" << t
+               << "): naive=" << a.ready[t].get() << " event=" << b.ready[t].get();
       }
     }
   }
@@ -176,7 +165,6 @@ inline bool replay_bisect_window(const Netlist& net,
                                  const netlist::ComponentFactory& factory,
                                  const LockstepOptions& opt,
                                  const std::function<void(Elaboration&)>& configure,
-                                 const std::vector<std::string>& names,
                                  const BisectReport& rep) {
   auto ref = bisect_elab(net, registry, factory, opt, sim::KernelKind::kNaive,
                          configure, rep.ref_snapshot);
@@ -185,7 +173,7 @@ inline bool replay_bisect_window(const Netlist& net,
   for (sim::Cycle c = rep.window_begin; c < rep.window_end; ++c) {
     ref->simulator().step();
     dut->simulator().step();
-    if (!channels_equal(*ref, *dut, names)) return true;
+    if (!channels_equal(*ref, *dut)) return true;
   }
   return false;
 }
@@ -285,7 +273,7 @@ inline bool run_lockstep(const Netlist& net,
                     << c;
       return false;
     }
-    const auto wires = channels_equal(*ref, *dut, names);
+    const auto wires = channels_equal(*ref, *dut);
     if (!wires) {
       if (opt.snapshot_interval != 0) {
         bisect->triggered = true;
@@ -293,7 +281,7 @@ inline bool run_lockstep(const Netlist& net,
         bisect->window_end = c + 1;
         bisect->message = wires.message();
         bisect->replayed = detail::replay_bisect_window(net, registry, factory, opt,
-                                                        configure, names, *bisect);
+                                                        configure, *bisect);
         detail::dump_bisect_artifacts(*bisect);
         ADD_FAILURE() << wires.message() << " at cycle " << c
                       << "; bisected to window (" << bisect->window_begin << ", "

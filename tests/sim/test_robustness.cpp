@@ -10,7 +10,8 @@
 //   * watchdog — a stall that resumes before the deadline must NOT fire;
 //     a genuine deadlock fires with a wait-for-graph diagnosis naming the
 //     cyclic dependency, and the post-mortem bundle round-trips through
-//     Simulator::restore to reproduce the stall.
+//     Simulator::restore to reproduce the stall; the diagnosis of a stall
+//     along a long chain must not recurse once per waiting edge.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -202,6 +203,32 @@ TEST(FaultMatrix, EveryFaultClassIsDetectedOnBothKernels) {
   }
 }
 
+TEST(FaultMatrix, FaultOnMissingThreadThrows) {
+  // S = 2: thread 5 does not exist. Redirecting the write to thread 0
+  // would fault a thread the plan never named.
+  const Netlist net = chain_netlist().to_multithreaded(2, mt::MebKind::kFull);
+  Rig rig(net, sim::KernelKind::kEventDriven);
+  rig.injector.add({sim::FaultKind::kDropReady, "b:0", 5, 0, 10});
+  rig.sim().reset();
+  try {
+    rig.sim().step();
+    FAIL() << "a fault on a missing thread was applied";
+  } catch (const sim::SimulationError& ex) {
+    const std::string what = ex.what();
+    EXPECT_NE(what.find("'b:0'"), std::string::npos) << what;
+    EXPECT_NE(what.find("thread 5"), std::string::npos) << what;
+    EXPECT_NE(what.find("2 thread(s)"), std::string::npos) << what;
+  }
+  EXPECT_EQ(rig.injector.injected_count(), 0u);
+
+  // A single-thread channel has one handshake pair and ignores the index.
+  Rig st(chain_netlist(), sim::KernelKind::kEventDriven);
+  st.injector.add({sim::FaultKind::kDropReady, "b:0", 5, 0, 10});
+  st.sim().reset();
+  EXPECT_NO_THROW(st.sim().step());
+  EXPECT_EQ(st.injector.injected_count(), 1u);
+}
+
 TEST(ProtocolMonitor, SilentOnHealthyTraffic) {
   for (const bool mt : {false, true}) {
     for (const auto kernel :
@@ -366,6 +393,39 @@ TEST(Watchdog, DeadlockBundleNamesCycleAndRoundTrips) {
     FAIL() << "restored stall did not reproduce";
   } catch (const sim::WatchdogError& ex) {
     EXPECT_NE(ex.diagnosis().find("'j'"), std::string::npos) << ex.diagnosis();
+  }
+}
+
+TEST(Watchdog, DiagnosisSurvivesLongStalledChain) {
+  // source -> 5x10^4-node function chain -> sink that never readies: every
+  // channel is backpressured, so the wait-for search walks one path the
+  // length of the chain. A recursive walk overflows the default stack
+  // here. The naive kernel keeps the test fast: the event kernel's first
+  // settle on a buffer-free chain is quadratic in its length.
+  constexpr std::size_t kNodes = 50000;
+  Netlist net;
+  std::size_t prev = net.add(Node::source("src"));
+  for (std::size_t i = 0; i + 2 < kNodes; ++i) {
+    const std::size_t f = net.add(Node::function("f" + std::to_string(i), "id"));
+    net.connect(prev, 0, f, 0);
+    prev = f;
+  }
+  net.connect(prev, 0, net.add(Node::sink("snk", 0.0)), 0);
+
+  Rig rig(net, sim::KernelKind::kNaive);
+  rig.elab->source("src").set_generator([](std::uint64_t i) { return i; });
+  rig.sim().set_watchdog(5);
+  rig.sim().reset();
+  try {
+    rig.sim().run(20);
+    FAIL() << "a chain stalled at the sink did not trip the watchdog";
+  } catch (const sim::WatchdogError& ex) {
+    const std::string& diagnosis = ex.diagnosis();
+    EXPECT_NE(diagnosis.find("no wait-for cycle"), std::string::npos)
+        << diagnosis.substr(0, 2000);
+    // 49,999 backpressured channels: 16 listed, the rest counted.
+    EXPECT_NE(diagnosis.find("  (+49983 more)\n"), std::string::npos)
+        << diagnosis.substr(0, 2000);
   }
 }
 

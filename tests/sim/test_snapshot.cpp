@@ -9,10 +9,11 @@
 //    restore rematerializes scheduler state instead of trusting it;
 //  - malformed snapshots (bad magic/version, truncation, trailing bytes,
 //    payload corruption, wrong circuit) must be rejected loudly;
-//  - trace observers restart empty after a restore, with event cycles
-//    continuing from the snapshot cycle (documented semantics: the
-//    TraceRecorder is external to the simulator and is NOT checkpointed,
-//    unlike ChannelProbe statistics which restore with the snapshot).
+//  - per-cycle observers restart empty after a restore, with event cycles
+//    continuing from the snapshot cycle (documented semantics: what an
+//    on_cycle observer records is external to the simulator and is NOT
+//    checkpointed, unlike ChannelProbe statistics which restore with the
+//    snapshot).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "elastic/elastic_buffer.hpp"
-#include "elastic/probe.hpp"
 #include "elastic/sink.hpp"
 #include "elastic/source.hpp"
 #include "kernel_lockstep.hpp"
@@ -114,7 +114,7 @@ TEST(SnapshotRestore, ResumeMatchesStraightRun) {
       for (sim::Cycle i = 0; i < kTail; ++i) {
         straight->simulator().step();
         resumed->simulator().step();
-        const auto wires = channels_equal(*straight, *resumed, names);
+        const auto wires = channels_equal(*straight, *resumed);
         if (!wires) {
           ADD_FAILURE() << wires.message() << " at cycle " << kWarm + i + 1;
           return;
@@ -148,11 +148,10 @@ TEST(SnapshotRestore, CrossKernelRestore) {
       restore_from(resumed->simulator(), snap);
       ASSERT_EQ(resumed->simulator().now(), kWarm);
 
-      const auto names = straight->channel_names();
       for (sim::Cycle i = 0; i < kTail; ++i) {
         straight->simulator().step();
         resumed->simulator().step();
-        const auto wires = channels_equal(*straight, *resumed, names);
+        const auto wires = channels_equal(*straight, *resumed);
         if (!wires) {
           ADD_FAILURE() << wires.message() << " at cycle " << kWarm + i + 1;
           return;
@@ -271,55 +270,63 @@ TEST(SnapshotRestore, Md5DigestCrossCheck) {
 
 namespace tracetest {
 
+/// One completed transfer on the rig's output channel.
+struct Transfer {
+  sim::Cycle cycle = 0;
+  std::uint64_t tag = 0;
+  friend bool operator==(const Transfer&, const Transfer&) = default;
+};
+
+/// src -> eb -> sink, with an observer recording every completed transfer
+/// on the buffer's output channel.
 struct Rig {
-  explicit Rig(sim::TraceRecorder& rec) : probe(s, out, rec, [](std::uint64_t v) {
-    return v;
-  }) {}
+  Rig() {
+    s.on_cycle([this](sim::Cycle c) {
+      if (out.fired()) transfers.push_back(Transfer{c, out.data.get()});
+    });
+  }
   sim::Simulator s;
   elastic::Channel<std::uint64_t> in{s, "in"};
   elastic::Channel<std::uint64_t> out{s, "out"};
   elastic::Source<std::uint64_t> src{s, "src", in};
   elastic::ElasticBuffer<std::uint64_t> eb{s, "eb", in, out};
   elastic::Sink<std::uint64_t> sink{s, "sink", out};
-  elastic::Probe<std::uint64_t> probe;
+  std::vector<Transfer> transfers;
 };
 
 }  // namespace tracetest
 
 TEST(SnapshotRestore, TraceObserversRestartEmptyWithContinuedCycles) {
-  sim::TraceRecorder full;
-  tracetest::Rig straight(full);
+  tracetest::Rig straight;
   straight.src.set_generator([](std::uint64_t i) { return i; });
   straight.sink.set_rate(0.7, 9);
   straight.s.reset();
   step_n(straight.s, 120);
 
-  sim::TraceRecorder warm_rec;
-  tracetest::Rig warm(warm_rec);
+  tracetest::Rig warm;
   warm.src.set_generator([](std::uint64_t i) { return i; });
   warm.sink.set_rate(0.7, 9);
   warm.s.reset();
   step_n(warm.s, 60);
   const std::string snap = snapshot_of(warm.s);
 
-  sim::TraceRecorder tail_rec;
-  tracetest::Rig resumed(tail_rec);
+  tracetest::Rig resumed;
   resumed.src.set_generator([](std::uint64_t i) { return i; });
   resumed.sink.set_rate(0.7, 9);
   resumed.s.reset();
   restore_from(resumed.s, snap);
-  EXPECT_TRUE(tail_rec.events().empty()) << "restore must not synthesize trace events";
+  EXPECT_TRUE(resumed.transfers.empty()) << "restore must not synthesize trace events";
   step_n(resumed.s, 60);
 
-  // The restarted recorder holds exactly the straight run's events after
+  // The restarted observer holds exactly the straight run's events after
   // the snapshot point, with their original (continued) cycle stamps.
-  // tick() fires while now() is still the pre-increment cycle, so the
+  // Observers run while now() is still the pre-increment cycle, so the
   // first step after a restore at cycle 60 records events stamped 60.
-  std::vector<sim::TransferEvent> expected;
-  for (const auto& ev : full.events()) {
+  std::vector<tracetest::Transfer> expected;
+  for (const auto& ev : straight.transfers) {
     if (ev.cycle >= 60) expected.push_back(ev);
   }
-  EXPECT_EQ(tail_rec.events(), expected);
+  EXPECT_EQ(resumed.transfers, expected);
 }
 
 // --- probe counters restore (not restart) ------------------------------------

@@ -5,98 +5,6 @@
 namespace mte::sim {
 namespace {
 
-TEST(TraceRecorder, RecordsEventsInOrder) {
-  TraceRecorder rec;
-  rec.record(1, "ch0", 0, 100);
-  rec.record(2, "ch1", 1, 200);
-  rec.record(3, "ch0", 1, 300);
-  ASSERT_EQ(rec.events().size(), 3u);
-  EXPECT_EQ(rec.events()[0], (TransferEvent{1, "ch0", 0, 100}));
-  EXPECT_EQ(rec.events()[2], (TransferEvent{3, "ch0", 1, 300}));
-}
-
-TEST(TraceRecorder, ChannelFilter) {
-  TraceRecorder rec;
-  rec.record(1, "a", 0, 1);
-  rec.record(2, "b", 0, 2);
-  rec.record(3, "a", 1, 3);
-  const auto a = rec.channel_events("a");
-  ASSERT_EQ(a.size(), 2u);
-  EXPECT_EQ(a[0].tag, 1u);
-  EXPECT_EQ(a[1].tag, 3u);
-}
-
-TEST(TraceRecorder, TagsByChannelAndThread) {
-  TraceRecorder rec;
-  rec.record(1, "a", 0, 10);
-  rec.record(2, "a", 1, 20);
-  rec.record(3, "a", 0, 30);
-  EXPECT_EQ(rec.tags("a", 0), (std::vector<std::uint64_t>{10, 30}));
-  EXPECT_EQ(rec.tags("a", 1), (std::vector<std::uint64_t>{20}));
-  EXPECT_TRUE(rec.tags("missing", 0).empty());
-}
-
-TEST(TraceRecorder, ClearEmpties) {
-  TraceRecorder rec;
-  rec.record(1, "a", 0, 1);
-  rec.clear();
-  EXPECT_TRUE(rec.events().empty());
-}
-
-TEST(TraceRecorder, UnboundedByDefault) {
-  TraceRecorder rec;
-  EXPECT_EQ(rec.capacity(), 0u);
-  for (Cycle c = 0; c < 1000; ++c) rec.record(c, "a", 0, c);
-  EXPECT_EQ(rec.events().size(), 1000u);
-  EXPECT_EQ(rec.dropped_events(), 0u);
-}
-
-TEST(TraceRecorder, RingKeepsMostRecentInChronologicalOrder) {
-  TraceRecorder rec;
-  rec.set_capacity(3);
-  for (Cycle c = 1; c <= 5; ++c) rec.record(c, "a", 0, c * 10);
-  ASSERT_EQ(rec.events().size(), 3u);
-  EXPECT_EQ(rec.events()[0].tag, 30u);  // oldest retained
-  EXPECT_EQ(rec.events()[1].tag, 40u);
-  EXPECT_EQ(rec.events()[2].tag, 50u);
-  EXPECT_EQ(rec.dropped_events(), 2u);
-  // Recording resumes correctly after a read unrotated the ring.
-  rec.record(6, "a", 0, 60);
-  EXPECT_EQ(rec.events()[0].tag, 40u);
-  EXPECT_EQ(rec.events()[2].tag, 60u);
-  EXPECT_EQ(rec.dropped_events(), 3u);
-}
-
-TEST(TraceRecorder, RingFiltersSeeChronologicalOrder) {
-  TraceRecorder rec;
-  rec.set_capacity(4);
-  for (Cycle c = 1; c <= 7; ++c) rec.record(c, c % 2 == 0 ? "even" : "odd", 0, c);
-  EXPECT_EQ(rec.tags("even", 0), (std::vector<std::uint64_t>{4, 6}));
-  EXPECT_EQ(rec.tags("odd", 0), (std::vector<std::uint64_t>{5, 7}));
-}
-
-TEST(TraceRecorder, ShrinkingCapacityDropsOldestImmediately) {
-  TraceRecorder rec;
-  for (Cycle c = 1; c <= 6; ++c) rec.record(c, "a", 0, c);
-  rec.set_capacity(2);
-  ASSERT_EQ(rec.events().size(), 2u);
-  EXPECT_EQ(rec.events()[0].tag, 5u);
-  EXPECT_EQ(rec.events()[1].tag, 6u);
-  EXPECT_EQ(rec.dropped_events(), 4u);
-}
-
-TEST(TraceRecorder, ClearResetsRingAndDropCounter) {
-  TraceRecorder rec;
-  rec.set_capacity(2);
-  for (Cycle c = 1; c <= 5; ++c) rec.record(c, "a", 0, c);
-  rec.clear();
-  EXPECT_TRUE(rec.events().empty());
-  EXPECT_EQ(rec.dropped_events(), 0u);
-  EXPECT_EQ(rec.capacity(), 2u);  // the bound itself is configuration
-  rec.record(9, "a", 0, 9);
-  EXPECT_EQ(rec.events().size(), 1u);
-}
-
 TEST(Timeline, RendersCellsAndGaps) {
   Timeline tl;
   tl.put("input", 0, "A0");

@@ -259,31 +259,18 @@ int main(int argc, char** argv) {
 
     mte::obs::TraceSession trace(
         mte::obs::TraceSession::Options{args.trace_limit});
-    std::vector<std::pair<std::string, mte::elastic::Channel<Word>*>> st_chs;
-    std::vector<std::pair<std::string, mte::mt::MtChannel<Word>*>> mt_chs;
+    const std::vector<mte::sim::ChannelRow>& rows = e.channel_rows();
     if (!args.trace_path.empty()) {
       sim.set_trace(&trace);
       // Transfer overlay: an observer reads each channel's settled
       // handshake once per cycle. Observers run outside eval, so the
       // event kernel's sensitivity discovery never sees these reads —
       // tracing cannot perturb scheduling.
-      for (const auto& name : e.channel_names()) {
-        if (e.is_multithreaded()) {
-          mt_chs.emplace_back(name, &e.mt_channel(name));
-        } else {
-          st_chs.emplace_back(name, &e.channel(name));
-        }
-      }
       sim.on_cycle([&](mte::sim::Cycle c) {
-        for (const auto& [name, ch] : st_chs) {
-          if (ch->valid.get() && ch->ready.get()) {
-            trace.add_transfer(c, name, 0, ch->data.get());
-          }
-        }
-        for (const auto& [name, ch] : mt_chs) {
-          for (std::size_t t = 0; t < ch->threads(); ++t) {
-            if (ch->valid(t).get() && ch->ready(t).get()) {
-              trace.add_transfer(c, name, static_cast<int>(t), ch->data.get());
+        for (const mte::sim::ChannelRow& row : rows) {
+          for (std::size_t t = 0; t < row.threads(); ++t) {
+            if (row.valid[t].get() && row.ready[t].get()) {
+              trace.add_transfer(c, row.name, static_cast<int>(t), row.data->get());
             }
           }
         }
@@ -293,24 +280,18 @@ int main(int argc, char** argv) {
     std::optional<mte::sim::VcdWriter> vcd;
     if (!args.vcd_path.empty()) {
       vcd.emplace(sim, "netlist");
-      for (const auto& name : e.channel_names()) {
-        if (e.is_multithreaded()) {
-          auto& ch = e.mt_channel(name);
-          for (std::size_t t = 0; t < ch.threads(); ++t) {
-            vcd->add_signal(name + ".valid" + std::to_string(t), 1,
-                            [&ch, t] { return ch.valid(t).get() ? 1u : 0u; });
-            vcd->add_signal(name + ".ready" + std::to_string(t), 1,
-                            [&ch, t] { return ch.ready(t).get() ? 1u : 0u; });
-          }
-          vcd->add_signal(name + ".data", 64, [&ch] { return ch.data.get(); });
-        } else {
-          auto& ch = e.channel(name);
-          vcd->add_signal(name + ".valid", 1,
-                          [&ch] { return ch.valid.get() ? 1u : 0u; });
-          vcd->add_signal(name + ".ready", 1,
-                          [&ch] { return ch.ready.get() ? 1u : 0u; });
-          vcd->add_signal(name + ".data", 64, [&ch] { return ch.data.get(); });
+      for (const mte::sim::ChannelRow& row : rows) {
+        // Multithreaded signals carry the thread index: "ch.valid2".
+        for (std::size_t t = 0; t < row.threads(); ++t) {
+          const std::string thread = row.multithreaded() ? std::to_string(t) : "";
+          const mte::sim::Wire<bool>& valid = row.valid[t];
+          const mte::sim::Wire<bool>& ready = row.ready[t];
+          vcd->add_signal(row.name + ".valid" + thread, 1,
+                          [&valid] { return valid.get() ? 1u : 0u; });
+          vcd->add_signal(row.name + ".ready" + thread, 1,
+                          [&ready] { return ready.get() ? 1u : 0u; });
         }
+        vcd->add_signal(row.name + ".data", 64, [&data = *row.data] { return data.get(); });
       }
     }
 
