@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "analysis/perf.hpp"
+#include "analysis/scc.hpp"
 
 namespace mte::analysis {
 namespace {
@@ -43,69 +44,23 @@ std::string name_set(const std::vector<std::string>& names) {
   return out;
 }
 
-/// Iterative Tarjan over an adjacency list; returns the nontrivial SCCs
-/// (two or more vertices, or one vertex with a self-arc), each sorted.
+/// The nontrivial SCCs of an adjacency list (two or more vertices, or one
+/// vertex with a self-arc), each sorted, in the order Tarjan completes them.
 std::vector<std::vector<std::size_t>> tarjan_nontrivial(
     const std::vector<std::vector<std::size_t>>& adj) {
   const std::size_t n = adj.size();
-  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> index(n, kNone);
-  std::vector<std::size_t> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<std::size_t> stack;
-  std::vector<std::vector<std::size_t>> sccs;
-  std::size_t next_index = 0;
-
-  struct Frame {
-    std::size_t v;
-    std::size_t child = 0;
-  };
-  std::vector<Frame> frames;
-  for (std::size_t root = 0; root < n; ++root) {
-    if (index[root] != kNone) continue;
-    frames.push_back({root});
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      const std::size_t v = f.v;
-      if (f.child == 0) {
-        index[v] = lowlink[v] = next_index++;
-        stack.push_back(v);
-        on_stack[v] = true;
-      } else {
-        // Returning from the previous child.
-        const std::size_t w = adj[v][f.child - 1];
-        lowlink[v] = std::min(lowlink[v], lowlink[w]);
-      }
-      bool descended = false;
-      while (f.child < adj[v].size()) {
-        const std::size_t w = adj[v][f.child++];
-        if (index[w] == kNone) {
-          frames.push_back({w});
-          descended = true;
-          break;
-        }
-        if (on_stack[w]) lowlink[v] = std::min(lowlink[v], index[w]);
-      }
-      if (descended) continue;
-      if (lowlink[v] == index[v]) {
-        std::vector<std::size_t> scc;
-        while (true) {
-          const std::size_t w = stack.back();
-          stack.pop_back();
-          on_stack[w] = false;
-          scc.push_back(w);
-          if (w == v) break;
-        }
-        const bool self_arc =
-            scc.size() == 1 &&
-            std::find(adj[v].begin(), adj[v].end(), v) != adj[v].end();
-        if (scc.size() >= 2 || self_arc) {
-          std::sort(scc.begin(), scc.end());
-          sccs.push_back(std::move(scc));
-        }
-      }
-      frames.pop_back();
+  const std::vector<std::size_t> ids = detail::scc_ids(adj, [](std::size_t w) { return w; });
+  std::vector<std::size_t> size(n, 0);  // ids are below n
+  for (const std::size_t id : ids) ++size[id];
+  std::vector<std::vector<std::size_t>> groups(n);  // empty ones allocate nothing
+  for (std::size_t v = 0; v < n; ++v) {
+    if (size[ids[v]] >= 2 || std::find(adj[v].begin(), adj[v].end(), v) != adj[v].end()) {
+      groups[ids[v]].push_back(v);
     }
+  }
+  std::vector<std::vector<std::size_t>> sccs;
+  for (auto& scc : groups) {
+    if (!scc.empty()) sccs.push_back(std::move(scc));
   }
   return sccs;
 }

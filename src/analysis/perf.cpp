@@ -8,6 +8,8 @@
 #include <queue>
 #include <set>
 
+#include "analysis/scc.hpp"
+
 namespace mte::analysis {
 namespace {
 
@@ -261,60 +263,6 @@ void walk_policy(const MarkedGraph& g, const std::vector<std::size_t>& policy,
   }
 }
 
-/// Iterative Tarjan: the strongly connected component id of every vertex.
-std::vector<std::size_t> scc_ids(const MarkedGraph& g) {
-  const std::size_t n = g.adj.size();
-  std::vector<std::size_t> index(n, kNone);
-  std::vector<std::size_t> lowlink(n, 0);
-  std::vector<std::size_t> scc(n, kNone);  // visited and kNone: on the stack
-  std::vector<std::size_t> stack;
-  std::size_t next_index = 0;
-  std::size_t next_scc = 0;
-
-  struct Frame {
-    std::size_t v;
-    std::size_t child = 0;
-  };
-  std::vector<Frame> frames;
-  for (std::size_t root = 0; root < n; ++root) {
-    if (index[root] != kNone) continue;
-    frames.push_back({root});
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      const std::size_t v = f.v;
-      if (f.child == 0) {
-        index[v] = lowlink[v] = next_index++;
-        stack.push_back(v);
-      } else {
-        const std::size_t w = g.adj[v][f.child - 1].to;
-        lowlink[v] = std::min(lowlink[v], lowlink[w]);
-      }
-      bool descended = false;
-      while (f.child < g.adj[v].size()) {
-        const std::size_t w = g.adj[v][f.child++].to;
-        if (index[w] == kNone) {
-          frames.push_back({w});
-          descended = true;
-          break;
-        }
-        if (scc[w] == kNone) lowlink[v] = std::min(lowlink[v], index[w]);
-      }
-      if (descended) continue;
-      if (lowlink[v] == index[v]) {
-        std::size_t w = kNone;
-        do {
-          w = stack.back();
-          stack.pop_back();
-          scc[w] = next_scc;
-        } while (w != v);
-        ++next_scc;
-      }
-      frames.pop_back();
-    }
-  }
-  return scc;
-}
-
 /// A policy cycle's vertices in walk order, plus its (tokens, hops) weight.
 struct WalkedCycle {
   std::vector<std::size_t> verts;
@@ -533,7 +481,8 @@ bool certify_min_cycle_mean(const MarkedGraph& g, const CycleMeanResult& r) {
   // The potentials cancel around any cycle, so no cycle's mean is below
   // the ratio of its vertices.
   using i128 = __int128;
-  const std::vector<std::size_t> scc = scc_ids(g);
+  const std::vector<std::size_t> scc =
+      detail::scc_ids(g.adj, [](const PerfArc& a) { return a.to; });
   for (std::size_t u = 0; u < n; ++u) {
     for (const PerfArc& a : g.adj[u]) {
       const std::size_t x = a.to;

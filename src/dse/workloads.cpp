@@ -132,89 +132,9 @@ class NetlistSession : public WorkloadSession {
   std::string in_channel_;
 };
 
-/// fig1: one MEB channel, every thread injecting at a fractional rate —
-/// utilization rises with S as threads fill each other's empty slots.
-std::unique_ptr<WorkloadSession> session_fig1(const SweepPoint& p,
-                                              sim::Cycle /*cycles*/,
-                                              std::uint64_t seed) {
-  netlist::CircuitBuilder b;
-  b.source("src") >> b.buffer("meb") >> b.sink("sink");
-  b.then_multithreaded(p.threads, base_kind(p.variant));
-  auto session = std::make_unique<NetlistSession>(b.build(), p, "meb", "src");
-  auto& src = session->elaboration()->mt_source("src");
-  for (std::size_t t = 0; t < p.threads; ++t) {
-    src.set_generator(t, [t](std::uint64_t i) { return (t << 32) + i; });
-    src.set_rate(t, 0.7, seed + 13 * t);
-  }
-  session->simulator().reset();
-  return session;
-}
-
-/// fig5: two-stage MEB pipeline; every thread but thread 0 is blocked at
-/// the sink for the middle 40 % of the run (the paper's Fig. 5 corner
-/// case). Full MEBs keep the survivor at full rate; the reduced MEB caps
-/// it near 50 %, which is exactly the throughput-vs-area trade-off the
-/// Pareto frontier should expose.
-std::unique_ptr<WorkloadSession> session_fig5(const SweepPoint& p, sim::Cycle cycles,
-                                              std::uint64_t seed) {
-  netlist::CircuitBuilder b;
-  b.source("src") >> b.buffer("meb0") >> b.buffer("meb1") >> b.sink("sink");
-  b.then_multithreaded(p.threads, base_kind(p.variant));
-  auto session = std::make_unique<NetlistSession>(b.build(), p, "meb1", "src");
-  auto& src = session->elaboration()->mt_source("src");
-  auto& sink = session->elaboration()->mt_sink("sink");
-  for (std::size_t t = 0; t < p.threads; ++t) {
-    src.set_generator(t, [t](std::uint64_t i) { return (t << 32) + i; });
-    src.set_rate(t, 1.0, seed + 13 * t);
-  }
-  const sim::Cycle stall_from = cycles / 5;
-  const sim::Cycle stall_to = stall_from + (2 * cycles) / 5;
-  for (std::size_t t = 1; t < p.threads; ++t) {
-    sink.add_stall_window(t, stall_from, stall_to);
-  }
-  session->simulator().reset();
-  return session;
-}
-
-/// deadlock: the MTE030 fixture shape (a join whose second input is fed
-/// from its own downstream fork) under the MT transform — an intentional
-/// structural deadlock for exercising the campaign's watchdog quarantine.
-/// Without a watchdog it runs its cycle budget producing zero tokens;
-/// with RobustnessPolicy::watchdog set it becomes a quarantined failed
-/// record with a wait-for-graph diagnosis. The oblivious arbiter is
-/// forced at construction: the fork/join reconvergence would otherwise be
-/// rejected at elaboration before the deadlock is ever reached.
-std::unique_ptr<WorkloadSession> session_deadlock(const SweepPoint& p,
-                                                  sim::Cycle /*cycles*/,
-                                                  std::uint64_t /*seed*/) {
-  netlist::Netlist n;
-  const auto src = n.add(netlist::Node::source("src"));
-  const auto j = n.add(netlist::Node::join("j", 2));
-  const auto b0 = n.add(netlist::Node::buffer("b0"));
-  const auto f = n.add(netlist::Node::fork("f", 2));
-  const auto snk = n.add(netlist::Node::sink("snk"));
-  const auto b1 = n.add(netlist::Node::buffer("b1"));
-  n.connect(src, 0, j, 0);
-  n.connect(j, 0, b0, 0);
-  n.connect(b0, 0, f, 0);
-  n.connect(f, 0, snk, 0);
-  n.connect(f, 1, b1, 0);
-  n.connect(b1, 0, j, 1);
-  SweepPoint p2 = p;
-  p2.arbiter = mt::ArbiterKind::kOblivious;
-  auto session = std::make_unique<NetlistSession>(
-      n.to_multithreaded(p.threads, base_kind(p.variant)), p2, "b0", "src");
-  auto& source = session->elaboration()->mt_source("src");
-  for (std::size_t t = 0; t < p.threads; ++t) {
-    source.set_generator(t, [t](std::uint64_t i) { return (t << 32) + i; });
-  }
-  session->simulator().reset();
-  return session;
-}
-
-// Static twins of the session builders: the same netlists, without the
-// session-side dressing (generators, rates, stall windows) that only
-// lowers measured throughput.
+// The netlists of the session workloads. Each is also the workload's
+// static twin: the sessions below add only dressing (generators, rates,
+// stall windows) that lowers measured throughput.
 StaticModel netlist_fig1(const SweepPoint& p) {
   netlist::CircuitBuilder b;
   b.source("src") >> b.buffer("meb") >> b.sink("sink");
@@ -229,6 +149,8 @@ StaticModel netlist_fig5(const SweepPoint& p) {
   return {b.build(), "sink"};
 }
 
+/// The MTE030 fixture shape: a join whose second input is fed from its
+/// own downstream fork.
 StaticModel netlist_deadlock(const SweepPoint& p) {
   netlist::Netlist n;
   const auto src = n.add(netlist::Node::source("src"));
@@ -246,21 +168,73 @@ StaticModel netlist_deadlock(const SweepPoint& p) {
   return {n.to_multithreaded(p.threads, base_kind(p.variant)), "snk"};
 }
 
-WorkloadResult run_deadlock(const SweepPoint& p, sim::Cycle cycles,
-                            std::uint64_t seed) {
-  auto session = session_deadlock(p, cycles, seed);
-  session->simulator().run(cycles);
-  return session->finish(p, cycles);
+/// fig1: one MEB channel, every thread injecting at a fractional rate —
+/// utilization rises with S as threads fill each other's empty slots.
+std::unique_ptr<WorkloadSession> session_fig1(const SweepPoint& p,
+                                              sim::Cycle /*cycles*/,
+                                              std::uint64_t seed) {
+  auto session = std::make_unique<NetlistSession>(netlist_fig1(p).net, p, "meb", "src");
+  auto& src = session->elaboration()->mt_source("src");
+  for (std::size_t t = 0; t < p.threads; ++t) {
+    src.set_generator(t, [t](std::uint64_t i) { return (t << 32) + i; });
+    src.set_rate(t, 0.7, seed + 13 * t);
+  }
+  session->simulator().reset();
+  return session;
 }
 
-WorkloadResult run_fig1(const SweepPoint& p, sim::Cycle cycles, std::uint64_t seed) {
-  auto session = session_fig1(p, cycles, seed);
-  session->simulator().run(cycles);
-  return session->finish(p, cycles);
+/// fig5: two-stage MEB pipeline; every thread but thread 0 is blocked at
+/// the sink for the middle 40 % of the run (the paper's Fig. 5 corner
+/// case). Full MEBs keep the survivor at full rate; the reduced MEB caps
+/// it near 50 %, which is exactly the throughput-vs-area trade-off the
+/// Pareto frontier should expose.
+std::unique_ptr<WorkloadSession> session_fig5(const SweepPoint& p, sim::Cycle cycles,
+                                              std::uint64_t seed) {
+  auto session = std::make_unique<NetlistSession>(netlist_fig5(p).net, p, "meb1", "src");
+  auto& src = session->elaboration()->mt_source("src");
+  auto& sink = session->elaboration()->mt_sink("sink");
+  for (std::size_t t = 0; t < p.threads; ++t) {
+    src.set_generator(t, [t](std::uint64_t i) { return (t << 32) + i; });
+    src.set_rate(t, 1.0, seed + 13 * t);
+  }
+  const sim::Cycle stall_from = cycles / 5;
+  const sim::Cycle stall_to = stall_from + (2 * cycles) / 5;
+  for (std::size_t t = 1; t < p.threads; ++t) {
+    sink.add_stall_window(t, stall_from, stall_to);
+  }
+  session->simulator().reset();
+  return session;
 }
 
-WorkloadResult run_fig5(const SweepPoint& p, sim::Cycle cycles, std::uint64_t seed) {
-  auto session = session_fig5(p, cycles, seed);
+/// deadlock: netlist_deadlock under the MT transform — an intentional
+/// structural deadlock for exercising the campaign's watchdog quarantine.
+/// Without a watchdog it runs its cycle budget producing zero tokens;
+/// with RobustnessPolicy::watchdog set it becomes a quarantined failed
+/// record with a wait-for-graph diagnosis. The oblivious arbiter is
+/// forced at construction: the fork/join reconvergence would otherwise be
+/// rejected at elaboration before the deadlock is ever reached. The
+/// workload registers no make_netlist: a static bound on its points would
+/// change the robustness campaign's report.
+std::unique_ptr<WorkloadSession> session_deadlock(const SweepPoint& p,
+                                                  sim::Cycle /*cycles*/,
+                                                  std::uint64_t /*seed*/) {
+  SweepPoint oblivious = p;
+  oblivious.arbiter = mt::ArbiterKind::kOblivious;
+  auto session =
+      std::make_unique<NetlistSession>(netlist_deadlock(p).net, oblivious, "b0", "src");
+  auto& source = session->elaboration()->mt_source("src");
+  for (std::size_t t = 0; t < p.threads; ++t) {
+    source.set_generator(t, [t](std::uint64_t i) { return (t << 32) + i; });
+  }
+  session->simulator().reset();
+  return session;
+}
+
+/// A session workload's evaluate, as the Workload contract defines it:
+/// make the session, run the cycle budget, finish.
+template <auto MakeSession>
+WorkloadResult run_session(const SweepPoint& p, sim::Cycle cycles, std::uint64_t seed) {
+  auto session = MakeSession(p, cycles, seed);
   session->simulator().run(cycles);
   return session->finish(p, cycles);
 }
@@ -363,25 +337,25 @@ const WorkloadSet& WorkloadSet::builtin() {
   static const WorkloadSet set = [] {
     WorkloadSet s;
     s.add({"fig1", "one-MEB channel under fractional per-thread injection",
-           WorkloadTraits{}, run_fig1, session_fig1, netlist_fig1});
+           WorkloadTraits{}, run_session<session_fig1>, session_fig1, netlist_fig1});
     s.add({"fig5",
            "two-stage MEB pipeline with the all-but-one-thread blocked window",
-           WorkloadTraits{}, run_fig5, session_fig5, netlist_fig5});
+           WorkloadTraits{}, run_session<session_fig5>, session_fig5, netlist_fig5});
     s.add({"md5", "multithreaded elastic MD5 engine, run to digest completion",
            WorkloadTraits{.supports_hybrid = false, .supports_arbiter = false,
                           .supports_kernel = true},
-           run_md5});
+           run_md5, nullptr, nullptr});
     s.add({"processor",
            "multithreaded pipelined elastic processor on barrel programs",
            WorkloadTraits{.supports_hybrid = false, .supports_arbiter = false,
                           .supports_kernel = true},
-           run_processor});
+           run_processor, nullptr, nullptr});
     s.add({"deadlock",
            "intentional structural deadlock (MTE030 fixture) for watchdog "
            "quarantine testing",
            WorkloadTraits{.supports_hybrid = false, .supports_arbiter = false,
                           .supports_kernel = true},
-           run_deadlock, session_deadlock});
+           run_session<session_deadlock>, session_deadlock, nullptr});
     return s;
   }();
   return set;

@@ -93,7 +93,7 @@ class MtSink : public sim::Component {
       sim::snapshot_read_vector(r, t.received);
       t.gate.load(r);
     }
-    order_.resize(r.read_u64());
+    order_.resize(r.read_count());
     for (auto& [thread, tok] : order_) {
       thread = static_cast<std::size_t>(r.read_u64());
       tok = sim::snapshot_read_value<T>(r);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <utility>
 
 namespace mte::obs {
 namespace {
@@ -147,30 +148,12 @@ std::string MetricsSnapshot::to_table() const {
   return out;
 }
 
-std::size_t MetricsRegistry::add_source(Source source) {
-  const std::size_t id = next_id_++;
-  sources_.push_back(Entry{id, std::move(source)});
-  return id;
-}
-
-void MetricsRegistry::remove_source(std::size_t id) noexcept {
-  sources_.erase(std::remove_if(sources_.begin(), sources_.end(),
-                                [id](const Entry& e) { return e.id == id; }),
-                 sources_.end());
-}
-
-std::size_t MetricsRegistry::source_count() const noexcept {
-  return sources_.size();
-}
+void MetricsRegistry::add_source(Source source) { sources_.push_back(std::move(source)); }
 
 MetricsSnapshot MetricsRegistry::snapshot(CategoryMask mask) const {
   std::vector<MetricRow> rows;
-  if (enabled_) {
-    MetricsSink sink(rows, mask);
-    for (const Entry& entry : sources_) {
-      entry.source(sink);
-    }
-  }
+  MetricsSink sink(rows, mask);
+  for (const Source& source : sources_) source(sink);
   return MetricsSnapshot(std::move(rows));
 }
 

@@ -28,8 +28,7 @@
 // The registry is PULL-based: producers register a source callback that
 // emits rows when (and only when) a snapshot is taken. Nothing is pushed
 // per event, so an idle registry costs the simulation loop exactly
-// nothing — the no-observer-effect tests pin this down — and disabling
-// it (set_enabled(false)) merely makes snapshots empty.
+// nothing — the no-observer-effect tests pin this down.
 //
 // Determinism contract: every metric carries a category.
 //   kSemantic  circuit-level observables (cycles, probe statistics).
@@ -140,19 +139,10 @@ class MetricsRegistry {
  public:
   using Source = std::function<void(MetricsSink&)>;
 
-  /// Registers a source; returns an id remove_source accepts. Sources run
-  /// in registration order (ordering is irrelevant to the rendered
-  /// snapshot, which sorts rows by name).
-  std::size_t add_source(Source source);
-  void remove_source(std::size_t id) noexcept;
-
-  /// A disabled registry takes empty snapshots without invoking any
-  /// source. The simulation-side cost is identical either way (pull
-  /// model); this exists so metrics-off runs provably render nothing.
-  void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-
-  [[nodiscard]] std::size_t source_count() const noexcept;
+  /// Registers a source for the registry's lifetime. Sources run in
+  /// registration order (ordering is irrelevant to the rendered snapshot,
+  /// which sorts rows by name).
+  void add_source(Source source);
 
   /// Pulls every registered source and returns the sorted snapshot of the
   /// requested categories. Timing rows are excluded by default so the
@@ -160,13 +150,7 @@ class MetricsRegistry {
   [[nodiscard]] MetricsSnapshot snapshot(CategoryMask mask = kStableCategories) const;
 
  private:
-  struct Entry {
-    std::size_t id = 0;
-    Source source;
-  };
-  std::vector<Entry> sources_;
-  std::size_t next_id_ = 1;
-  bool enabled_ = true;
+  std::vector<Source> sources_;
 };
 
 }  // namespace mte::obs

@@ -3,35 +3,21 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <string_view>
+#include <unordered_map>
 
 #include "sim/component.hpp"
 
 namespace mte::obs {
 
-PhaseProfiler::Bucket& PhaseProfiler::bucket(
-    std::map<std::string, Bucket, std::less<>>& m, std::string_view key) {
-  auto it = m.find(key);
-  if (it == m.end()) it = m.emplace(std::string(key), Bucket{}).first;
-  return it->second;
-}
-
-void PhaseProfiler::record_eval(const sim::Component& c, double seconds) {
-  const double scaled = seconds * stride_;
-  bucket(types_, c.type_name()).settle_seconds += scaled;
-  bucket(instances_, c.name()).settle_seconds += scaled;
-  ++samples_;
-}
-
-void PhaseProfiler::record_tick(const sim::Component& c, double seconds) {
-  const double scaled = seconds * stride_;
-  bucket(types_, c.type_name()).commit_seconds += scaled;
-  bucket(instances_, c.name()).commit_seconds += scaled;
+void PhaseProfiler::record(std::uint32_t slot, Phase phase, double seconds) {
+  if (slot >= slots_.size()) slots_.resize(static_cast<std::size_t>(slot) + 1);
+  slots_[slot][static_cast<std::size_t>(phase)] += seconds * stride_;
   ++samples_;
 }
 
 void PhaseProfiler::reset() noexcept {
-  types_.clear();
-  instances_.clear();
+  slots_.clear();
   samples_ = 0;
   countdown_ = 1;
 }
@@ -39,49 +25,27 @@ void PhaseProfiler::reset() noexcept {
 ProfileReport PhaseProfiler::report(
     const std::vector<sim::Component*>& components, std::size_t top_n) const {
   ProfileReport rep;
-
-  // Exact call counts and instance populations, grouped by type.
-  struct Exact {
-    std::uint64_t instances = 0;
-    std::uint64_t evals = 0;
-    std::uint64_t ticks = 0;
+  const auto sampled = [this](const sim::Component& c) {
+    const std::uint32_t slot = c.profile_slot();
+    return slot < slots_.size() ? slots_[slot] : std::array<double, 2>{};
   };
-  std::map<std::string, Exact, std::less<>> exact;
+
+  // Roll the live components up by type: exact call counts, instance
+  // populations and sampled seconds.
+  std::unordered_map<std::string_view, std::size_t> row_of;
   for (const sim::Component* c : components) {
-    auto it = exact.find(c->type_name());
-    if (it == exact.end()) it = exact.emplace(std::string(c->type_name()), Exact{}).first;
-    it->second.instances += 1;
-    it->second.evals += c->kernel_eval_calls();
-    it->second.ticks += c->kernel_tick_calls();
+    const auto [it, added] = row_of.try_emplace(c->type_name(), rep.rows_.size());
+    if (added) rep.rows_.push_back(ProfileRow{.type = std::string(c->type_name())});
+    ProfileRow& row = rep.rows_[it->second];
+    const std::array<double, 2> s = sampled(*c);
+    row.instances += 1;
+    row.evals += c->kernel_eval_calls();
+    row.ticks += c->kernel_tick_calls();
+    row.settle_seconds += s[0];
+    row.commit_seconds += s[1];
+    rep.total_settle_ += s[0];
+    rep.total_commit_ += s[1];
   }
-
-  for (const auto& [type, ex] : exact) {
-    ProfileRow row;
-    row.type = type;
-    row.instances = ex.instances;
-    row.evals = ex.evals;
-    row.ticks = ex.ticks;
-    if (auto it = types_.find(type); it != types_.end()) {
-      row.settle_seconds = it->second.settle_seconds;
-      row.commit_seconds = it->second.commit_seconds;
-    }
-    rep.total_settle_ += row.settle_seconds;
-    rep.total_commit_ += row.commit_seconds;
-    rep.rows_.push_back(std::move(row));
-  }
-  // Sampled types with no registered instance (components destroyed since
-  // recording) still show up, unattributed counts at zero.
-  for (const auto& [type, b] : types_) {
-    if (exact.find(type) != exact.end()) continue;
-    ProfileRow row;
-    row.type = type;
-    row.settle_seconds = b.settle_seconds;
-    row.commit_seconds = b.commit_seconds;
-    rep.total_settle_ += row.settle_seconds;
-    rep.total_commit_ += row.commit_seconds;
-    rep.rows_.push_back(std::move(row));
-  }
-
   for (ProfileRow& row : rep.rows_) {
     if (rep.total_settle_ > 0.0) row.settle_share = row.settle_seconds / rep.total_settle_;
     if (rep.total_commit_ > 0.0) row.commit_share = row.commit_seconds / rep.total_commit_;
@@ -98,30 +62,37 @@ ProfileReport PhaseProfiler::report(
               return a.type < b.type;
             });
 
-  // Top-N instances by sampled cost (same deterministic tie-break).
-  std::vector<InstanceRow> inst;
-  for (const sim::Component* c : components) {
-    InstanceRow row;
-    row.name = c->name();
-    row.type = std::string(c->type_name());
-    row.evals = c->kernel_eval_calls();
-    row.ticks = c->kernel_tick_calls();
-    if (auto it = instances_.find(c->name()); it != instances_.end()) {
-      row.settle_seconds = it->second.settle_seconds;
-      row.commit_seconds = it->second.commit_seconds;
-    }
-    inst.push_back(std::move(row));
+  // Top-N instances by sampled cost (same deterministic tie-break). Only
+  // the N winners are sorted and turned into rows.
+  const std::size_t n = std::min(top_n, components.size());
+  if (n == 0) return rep;
+  std::vector<const sim::Component*> ranked(components.begin(), components.end());
+  const auto cost = [&sampled](const sim::Component* c) {
+    const std::array<double, 2> s = sampled(*c);
+    return s[0] + s[1];
+  };
+  std::partial_sort(ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(n),
+                    ranked.end(), [&cost](const sim::Component* a, const sim::Component* b) {
+                      const double at = cost(a);
+                      const double bt = cost(b);
+                      if (at != bt) return at > bt;
+                      if (a->kernel_eval_calls() != b->kernel_eval_calls()) {
+                        return a->kernel_eval_calls() > b->kernel_eval_calls();
+                      }
+                      return a->name() < b->name();
+                    });
+  for (std::size_t i = 0; i < n; ++i) {
+    const sim::Component& c = *ranked[i];
+    const std::array<double, 2> s = sampled(c);
+    rep.top_instances_.push_back(InstanceRow{
+        .name = c.name(),
+        .type = std::string(c.type_name()),
+        .evals = c.kernel_eval_calls(),
+        .ticks = c.kernel_tick_calls(),
+        .settle_seconds = s[0],
+        .commit_seconds = s[1],
+    });
   }
-  std::sort(inst.begin(), inst.end(),
-            [](const InstanceRow& a, const InstanceRow& b) {
-              const double at = a.settle_seconds + a.commit_seconds;
-              const double bt = b.settle_seconds + b.commit_seconds;
-              if (at != bt) return at > bt;
-              if (a.evals != b.evals) return a.evals > b.evals;
-              return a.name < b.name;
-            });
-  if (inst.size() > top_n) inst.resize(top_n);
-  rep.top_instances_ = std::move(inst);
   return rep;
 }
 

@@ -3,11 +3,13 @@
 // Answers the question the compiled-kernel ROADMAP item depends on:
 // WHERE does settle and commit time actually go? The simulator, when a
 // profiler is attached (Simulator::set_profiler), times every stride-th
-// eval/tick dispatch and records it here under the component's
-// type_name(). Recorded durations are scaled by the stride, so bucket
-// totals estimate the true per-type wall time; call counts in the report
-// are NOT sampled — they are read exactly from the components'
-// kernel_eval_calls()/kernel_tick_calls() at report time.
+// eval/tick dispatch and adds it to the component's profile slot: one
+// dense table indexed by Component::profile_slot(), so a sample costs two
+// clock reads and one indexed add. Recorded durations are scaled by the
+// stride, so slot totals estimate the true wall time; report() rolls the
+// slots up by type_name() and picks the top-N instances. Call counts in
+// the report are NOT sampled — they are read exactly from the
+// components' kernel_eval_calls()/kernel_tick_calls() at report time.
 //
 // Stride 1 (the default) times every dispatch: exact, ~2 steady_clock
 // reads per dispatched unit. Larger strides shrink overhead linearly at
@@ -18,10 +20,9 @@
 // replayed region (mirroring how diagnostics counters restart at zero).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -31,6 +32,9 @@ class Component;
 }
 
 namespace mte::obs {
+
+/// The phase a timed dispatch belongs to.
+enum class Phase : std::uint8_t { kSettle, kCommit };
 
 /// One line of the per-type profile.
 struct ProfileRow {
@@ -97,35 +101,30 @@ class PhaseProfiler {
     return true;
   }
 
-  /// Records one timed dispatch (seconds is the raw measured duration;
-  /// the profiler applies the stride scaling).
-  void record_eval(const sim::Component& c, double seconds);
-  void record_tick(const sim::Component& c, double seconds);
+  /// Records one timed dispatch of the component in profile slot `slot`
+  /// (Component::profile_slot). `seconds` is the raw measured duration;
+  /// the profiler applies the stride scaling. Runs only on sampled
+  /// dispatches, so it is defined out of line.
+  void record(std::uint32_t slot, Phase phase, double seconds);
 
   /// Drops all accumulated samples (Simulator::restore does this).
   void reset() noexcept;
 
   [[nodiscard]] std::uint64_t sample_count() const noexcept { return samples_; }
 
-  /// Builds the ranked per-type report. `components` supplies the exact
-  /// call counts and the instance population (pass
-  /// Simulator::components()).
+  /// Builds the ranked per-type report and the top_n costliest instances.
+  /// `components` supplies the exact call counts and the instance
+  /// population (pass Simulator::components()); samples of components no
+  /// longer in it are not reported.
   [[nodiscard]] ProfileReport report(const std::vector<sim::Component*>& components,
                                      std::size_t top_n = 8) const;
 
  private:
-  struct Bucket {
-    double settle_seconds = 0.0;
-    double commit_seconds = 0.0;
-  };
-
-  Bucket& bucket(std::map<std::string, Bucket, std::less<>>& m, std::string_view key);
-
   std::uint32_t stride_;
   std::uint32_t countdown_;
   std::uint64_t samples_ = 0;
-  std::map<std::string, Bucket, std::less<>> types_;
-  std::map<std::string, Bucket, std::less<>> instances_;
+  /// Stride-scaled seconds per profile slot, indexed by Phase.
+  std::vector<std::array<double, 2>> slots_;
 };
 
 }  // namespace mte::obs

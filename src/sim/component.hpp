@@ -144,7 +144,7 @@ class Component {
   [[nodiscard]] Simulator& sim() const noexcept { return *sim_; }
 
   /// The component's type label for profiling/metrics attribution
-  /// (obs::PhaseProfiler buckets settle/commit cost by this). Overrides
+  /// (obs::PhaseProfiler rolls settle/commit cost up by this). Overrides
   /// must return a string with static lifetime — a literal such as
   /// "ElasticBuffer". The default groups unlabeled components together.
   [[nodiscard]] virtual std::string_view type_name() const noexcept {
@@ -157,6 +157,11 @@ class Component {
   /// counters freeze.
   [[nodiscard]] std::uint64_t kernel_eval_calls() const noexcept { return eval_calls_; }
   [[nodiscard]] std::uint64_t kernel_tick_calls() const noexcept { return tick_calls_; }
+
+  /// The slot obs::PhaseProfiler files this component's samples under:
+  /// the simulator's registration counter at construction. Unique among
+  /// the simulator's components, past and present — never reused.
+  [[nodiscard]] std::uint32_t profile_slot() const noexcept { return profile_slot_; }
 
  protected:
   /// Called from tick(): declares which processes' eval-visible outputs
@@ -183,6 +188,7 @@ class Component {
   std::uint32_t kernel_proc_count_ = 0;      // valid when kernel_procs_ set
   std::uint32_t kernel_proc_base_ = 0;       // scratch id base (levelization)
   std::uint32_t kernel_seed_mask_ = kAllProcesses;  // processes to reseed
+  std::uint32_t profile_slot_ = 0;  // fills the padding before eval_calls_
   std::uint64_t eval_calls_ = 0;
   std::uint64_t tick_calls_ = 0;
 };

@@ -18,10 +18,22 @@
 namespace mte::sim {
 namespace {
 
-using ProfClock = std::chrono::steady_clock;
-
-[[nodiscard]] inline double seconds_since(ProfClock::time_point t0) noexcept {
-  return std::chrono::duration<double>(ProfClock::now() - t0).count();
+/// Every eval and tick dispatch of both kernels goes through here. Only a
+/// dispatch the attached profiler samples is timed; its duration goes to
+/// the component's profile slot. The sampled branch stays cold and its
+/// recording out of line, so the unsampled path is `call` plus one
+/// decrement and compare.
+template <typename Call>
+inline void dispatch(obs::PhaseProfiler* profiler, const Component& c, obs::Phase phase,
+                     Call call) {
+  if (profiler != nullptr && profiler->sample_now()) [[unlikely]] {
+    const auto t0 = std::chrono::steady_clock::now();
+    call();
+    const std::chrono::duration<double> took = std::chrono::steady_clock::now() - t0;
+    profiler->record(c.profile_slot(), phase, took.count());
+  } else {
+    call();
+  }
 }
 
 }  // namespace
@@ -59,7 +71,7 @@ void Simulator::emit_sim_metrics(obs::MetricsSink& sink) const {
     sink.counter("component." + c->name() + ".ticks", c->kernel_tick_calls(),
                  MetricCategory::kKernel);
   }
-  if (profiler_ != nullptr) profiler_->report(components_).emit_metrics(sink);
+  if (profiler_ != nullptr) profiler_->report(components_, 0).emit_metrics(sink);
   if (trace_ != nullptr) trace_->emit_metrics(sink);
 }
 
@@ -86,6 +98,7 @@ void Simulator::set_kernel(KernelKind kind) {
 }
 
 void Simulator::register_component(Component& c) {
+  c.profile_slot_ = next_profile_slot_++;
   components_.push_back(&c);
   seq_cache_valid_ = false;
   levels_valid_ = false;
@@ -125,8 +138,7 @@ void Simulator::ensure_processes(Component& c) {
   }
 }
 
-std::size_t Simulator::effective_settle_limit() const noexcept {
-  if (settle_limit_ != 0) return settle_limit_;
+std::size_t Simulator::settle_limit() const noexcept {
   // Each iteration propagates signals at least one component deeper, so a
   // loop-free circuit settles in <= #components + 1 iterations. Keep a
   // little slack for pathological evaluation orders.
@@ -142,7 +154,7 @@ void Simulator::settle() {
 }
 
 void Simulator::settle_naive() {
-  const std::size_t limit = effective_settle_limit();
+  const std::size_t limit = settle_limit();
   std::size_t iterations = 0;
   tracker_.consume();  // drop stale notifications from outside the loop
   do {
@@ -151,22 +163,9 @@ void Simulator::settle_naive() {
           "settle loop did not converge after " + std::to_string(limit) +
           " iterations; the circuit most likely contains a combinational cycle");
     }
-    if (profiler_ == nullptr) {
-      for (Component* c : components_) {
-        c->eval();
-        ++c->eval_calls_;
-      }
-    } else {
-      for (Component* c : components_) {
-        if (profiler_->sample_now()) {
-          const auto t0 = ProfClock::now();
-          c->eval();
-          profiler_->record_eval(*c, seconds_since(t0));
-        } else {
-          c->eval();
-        }
-        ++c->eval_calls_;
-      }
+    for (Component* c : components_) {
+      dispatch(profiler_, *c, obs::Phase::kSettle, [c] { c->eval(); });
+      ++c->eval_calls_;
     }
     eval_count_ += components_.size();
     settle_work_ += static_cast<double>(components_.size());
@@ -194,6 +193,17 @@ void Simulator::flush_worklist_to_buckets(std::size_t& pending, std::size_t& min
   tracker_.clear_worklist();
 }
 
+// Inline: both call sites are the event kernel's hot path.
+inline void Simulator::eval_scheduled(Process& p) {
+  Component& owner = *p.owner;
+  ++eval_count_;
+  ++owner.eval_calls_;
+  settle_work_ += p.work;
+  tracker_.begin_eval(p);
+  dispatch(profiler_, owner, obs::Phase::kSettle, [&] { owner.eval_process(p.index); });
+  tracker_.end_eval();
+}
+
 void Simulator::settle_event() {
   if (!levels_valid_ || tracker_.consume_topology_dirty()) relevelize();
 
@@ -218,7 +228,7 @@ void Simulator::settle_event() {
   // naive kernel's own bound (limit sweeps x all components) has an
   // order-sensitive combinational cycle on its hands.
   const std::size_t eval_cap =
-      effective_settle_limit() * std::max<std::size_t>(components_.size(), 1);
+      settle_limit() * std::max<std::size_t>(components_.size(), 1);
   std::size_t evals_this_settle = 0;
 
   std::size_t pending = 0;
@@ -262,18 +272,7 @@ void Simulator::settle_event() {
             seed_process(p, pending, min_level);
             continue;
           }
-          ++eval_count_;
-          ++c->eval_calls_;
-          settle_work_ += p.work;
-          tracker_.begin_eval(p);
-          if (profiler_ != nullptr && profiler_->sample_now()) {
-            const auto t0 = ProfClock::now();
-            c->eval_process(i);
-            profiler_->record_eval(*c, seconds_since(t0));
-          } else {
-            c->eval_process(i);
-          }
-          tracker_.end_eval();
+          eval_scheduled(p);
           // A first-ever wire read during this early eval means its output
           // may predate inputs the sweep computes: re-run it in order.
           if (p.reads_wires) tracker_.enqueue(p);
@@ -288,7 +287,6 @@ void Simulator::settle_event() {
       Process* p = bucket.back();
       bucket.pop_back();
       --pending;
-      Component& owner = *p->owner;
       p->dirty = false;
       if (++evals_this_settle > eval_cap) {
         // An order-sensitive combinational cycle: the worklist order is
@@ -304,18 +302,7 @@ void Simulator::settle_event() {
         settle_naive();
         return;
       }
-      ++eval_count_;
-      ++owner.eval_calls_;
-      settle_work_ += p->work;
-      tracker_.begin_eval(*p);
-      if (profiler_ != nullptr && profiler_->sample_now()) {
-        const auto t0 = ProfClock::now();
-        owner.eval_process(p->index);
-        profiler_->record_eval(owner, seconds_since(t0));
-      } else {
-        owner.eval_process(p->index);
-      }
-      tracker_.end_eval();
+      eval_scheduled(*p);
       // Changed wires enqueued their fanout; newly discovered edges can
       // enqueue below the sweep point and pull it back down.
       if (!tracker_.worklist().empty()) flush_worklist_to_buckets(pending, min_level);
@@ -510,16 +497,23 @@ std::string Simulator::write_postmortem(const std::string& diagnosis) const {
   if (ec) return {};
   const std::string prefix =
       dir + "/postmortem_c" + std::to_string(cycle_);
+  // Each file is written independently, and the result names only those
+  // that were: the error text never points at a file that is not there.
+  std::string written;  // ",<ext>" per file written
   {
     // The pre-tick state of the stalled cycle: restoring it into a fresh
     // elaboration and stepping reproduces the stall.
     std::ofstream os(prefix + ".snap", std::ios::binary);
-    if (os) save(os);
+    if (os) {
+      save(os);
+      os.close();
+      if (os) written += ",snap";
+    }
   }
   {
     obs::TraceSession tail;
     monitor_->export_trace_tail(tail);
-    tail.write_file(prefix + ".trace.json");
+    if (tail.write_file(prefix + ".trace.json")) written += ",trace.json";
   }
   {
     std::ofstream os(prefix + ".diagnosis.txt");
@@ -528,9 +522,12 @@ std::string Simulator::write_postmortem(const std::string& diagnosis) const {
       if (!monitor_->violations().empty()) {
         os << "\nrecorded protocol violations:\n" << monitor_->report();
       }
+      os.close();
+      if (os) written += ",diagnosis.txt";
     }
   }
-  return prefix + ".{snap,trace.json,diagnosis.txt}";
+  if (written.empty()) return {};
+  return prefix + ".{" + written.substr(1) + "}";
 }
 
 void Simulator::save(std::ostream& os) const {
@@ -677,22 +674,9 @@ void Simulator::step() {
         "monitor's transfer count");
   }
   if (kernel_ == KernelKind::kNaive) {
-    if (profiler_ == nullptr) {
-      for (Component* c : components_) {
-        c->tick();
-        ++c->tick_calls_;
-      }
-    } else {
-      for (Component* c : components_) {
-        if (profiler_->sample_now()) {
-          const auto pt0 = ProfClock::now();
-          c->tick();
-          profiler_->record_tick(*c, seconds_since(pt0));
-        } else {
-          c->tick();
-        }
-        ++c->tick_calls_;
-      }
+    for (Component* c : components_) {
+      dispatch(profiler_, *c, obs::Phase::kCommit, [c] { c->tick(); });
+      ++c->tick_calls_;
     }
     tick_count_ += components_.size();
   } else {
@@ -713,13 +697,7 @@ void Simulator::step() {
       // declares touched (set_tick_touched; default all) have stale
       // eval() outputs and seed the next settle.
       c->kernel_seed_mask_ = Component::kAllProcesses;
-      if (profiler_ != nullptr && profiler_->sample_now()) {
-        const auto pt0 = ProfClock::now();
-        c->tick();
-        profiler_->record_tick(*c, seconds_since(pt0));
-      } else {
-        c->tick();
-      }
+      dispatch(profiler_, *c, obs::Phase::kCommit, [c] { c->tick(); });
       ++c->tick_calls_;
       ++tick_count_;
     }

@@ -2,8 +2,8 @@
 //
 // Each step() performs:
 //   1. settle: run eval() until no wire changes (fixed point).
-//      Non-convergence within the settle limit raises
-//      CombinationalLoopError.
+//      Non-convergence within the settle limit (2 x components + 8
+//      sweeps) raises CombinationalLoopError.
 //   2. observe: invoke registered per-cycle observers on the settled state.
 //   3. commit: run tick() (the clock edge).
 //
@@ -200,12 +200,6 @@ class Simulator {
   /// Cycles completed since reset.
   [[nodiscard]] Cycle now() const noexcept { return cycle_; }
 
-  /// Upper bound on settle work per cycle (default: scales with the number
-  /// of components). The naive kernel counts full sweeps; the event-driven
-  /// kernel counts evaluations of any single process — both exceed the
-  /// limit only when a combinational cycle fails to converge.
-  void set_settle_limit(std::size_t limit) noexcept { settle_limit_ = limit; }
-
   [[nodiscard]] std::size_t component_count() const noexcept { return components_.size(); }
 
   /// Total evaluations across all settle passes since construction — the
@@ -255,10 +249,13 @@ class Simulator {
   [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
 
   /// Attaches a profiler: every stride-th eval/tick dispatch is timed and
-  /// attributed to the component's type_name(). The profiler must outlive
-  /// the attachment; detach with nullptr. Profiler state is scratch:
-  /// restore() resets it (diagnostics restart, mirroring the counters'
-  /// not-in-snapshot rule).
+  /// added to the component's profile slot (Component::profile_slot); all
+  /// five dispatch sites of both kernels go through one helper, so an
+  /// unsampled dispatch pays one decrement and compare. Slots are
+  /// per-simulator, so a profiler serves one simulator at a time. The
+  /// profiler must outlive the attachment; detach with nullptr. Profiler
+  /// state is scratch: restore() resets it (diagnostics restart,
+  /// mirroring the counters' not-in-snapshot rule).
   void set_profiler(obs::PhaseProfiler* profiler) noexcept { profiler_ = profiler; }
   [[nodiscard]] obs::PhaseProfiler* profiler() const noexcept { return profiler_; }
 
@@ -305,16 +302,19 @@ class Simulator {
 
  private:
   void emit_sim_metrics(obs::MetricsSink& sink) const;
-  [[nodiscard]] std::size_t effective_settle_limit() const noexcept;
+  [[nodiscard]] std::size_t settle_limit() const noexcept;
   void ensure_processes(Component& c);
   void settle_naive();
   void settle_event();
+  void eval_scheduled(Process& p);
   void relevelize();
   void rebuild_sequential_cache();
   void seed_process(Process& p, std::size_t& pending, std::size_t& min_level);
   void flush_worklist_to_buckets(std::size_t& pending, std::size_t& min_level);
   void clear_pending() noexcept;
   void check_watchdog();
+  /// Writes the post-mortem bundle; returns the files written as
+  /// "<dir>/postmortem_c<cycle>.{ext,...}", or "" when none was.
   [[nodiscard]] std::string write_postmortem(const std::string& diagnosis) const;
 
   ChangeTracker tracker_;
@@ -322,7 +322,7 @@ class Simulator {
   std::vector<std::shared_ptr<void>> owned_;
   std::vector<std::function<void(Cycle)>> observers_;
   Cycle cycle_ = 0;
-  std::size_t settle_limit_ = 0;  // 0 => automatic
+  std::uint32_t next_profile_slot_ = 0;  // never reused (Component::profile_slot)
   KernelKind kernel_ = KernelKind::kEventDriven;
 
   // --- event-kernel state ---------------------------------------------------

@@ -21,7 +21,10 @@
 // The per-component framing is the loud-failure mechanism: a component
 // whose load_state reads fewer or more bytes than its save_state wrote
 // fails the frame-consumption check, and a corrupted stream fails the
-// CRC — both as SnapshotError, never as silently wrong state.
+// CRC — both as SnapshotError, never as silently wrong state. A crafted
+// frame can carry a valid CRC, so every count that sizes a container is
+// read through SnapshotReader::read_count, which bounds it by the bytes
+// left in the frame.
 //
 // Scheduler state (worklists, levelization, process slots) is NOT part of
 // a snapshot by design: restore rematerializes it exactly like reset()
@@ -232,6 +235,21 @@ class SnapshotReader {
 
   [[nodiscard]] double read_f64() { return std::bit_cast<double>(read_u64()); }
 
+  /// Reads a u64 element count. Every element takes at least one byte, so
+  /// a count above the bytes left in the current frame is malformed: it
+  /// throws SnapshotError before anything is sized by it (a crafted count
+  /// under a valid CRC must not reach reserve() or resize()).
+  [[nodiscard]] std::size_t read_count() {
+    const std::size_t at = pos_;
+    const std::uint64_t n = read_u64();
+    if (n > limit_ - pos_) {
+      throw SnapshotError("snapshot count " + std::to_string(n) + " at offset " +
+                          std::to_string(at) + " exceeds the " +
+                          std::to_string(limit_ - pos_) + " bytes left in its frame");
+    }
+    return static_cast<std::size_t>(n);
+  }
+
   [[nodiscard]] std::string read_string() {
     const std::uint32_t n = read_u32();
     need(n);
@@ -399,10 +417,10 @@ void snapshot_write_vector(SnapshotWriter& w, const std::vector<T>& v) {
 
 template <typename T>
 void snapshot_read_vector(SnapshotReader& r, std::vector<T>& v) {
-  const std::uint64_t n = r.read_u64();
+  const std::size_t n = r.read_count();
   v.clear();
   v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(snapshot_read_value<T>(r));
+  for (std::size_t i = 0; i < n; ++i) v.push_back(snapshot_read_value<T>(r));
 }
 
 template <typename K, typename V>

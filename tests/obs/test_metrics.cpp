@@ -1,5 +1,5 @@
-// MetricsRegistry unit tests: pull semantics, category filtering, fixed
-// renderer formats and the disabled path. The determinism and
+// MetricsRegistry unit tests: pull semantics, category filtering and
+// fixed renderer formats. The determinism and
 // no-observer-effect contracts against a live simulator are covered by
 // test_obs_integration.cpp.
 #include <gtest/gtest.h>
@@ -20,32 +20,6 @@ TEST(MetricsRegistry, SourcesRunOnlyAtSnapshotTime) {
   const MetricsSnapshot snap = reg.snapshot();
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(snap.count("a.count"), 7u);
-}
-
-TEST(MetricsRegistry, DisabledRegistrySkipsSourcesEntirely) {
-  MetricsRegistry reg;
-  int calls = 0;
-  reg.add_source([&calls](MetricsSink& sink) {
-    ++calls;
-    sink.counter("a", 1);
-  });
-  reg.set_enabled(false);
-  const MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(calls, 0);
-  EXPECT_TRUE(snap.rows().empty());
-  EXPECT_EQ(snap.to_csv(), "name,category,value\n");
-}
-
-TEST(MetricsRegistry, RemoveSourceDropsItsRows) {
-  MetricsRegistry reg;
-  const std::size_t id = reg.add_source(
-      [](MetricsSink& sink) { sink.counter("gone", 1); });
-  reg.add_source([](MetricsSink& sink) { sink.counter("kept", 2); });
-  reg.remove_source(id);
-  EXPECT_EQ(reg.source_count(), 1u);
-  const MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.find("gone"), nullptr);
-  EXPECT_EQ(snap.count("kept"), 2u);
 }
 
 TEST(MetricsRegistry, DefaultMaskExcludesTimingRows) {

@@ -1,11 +1,13 @@
 // Observability contracts against a live simulator: snapshot determinism
 // across kernels and runs, zero observer effect, probe metrics under
-// save/restore, profiler attachment and reset, trace attachment.
+// save/restore, profiler attachment, sampling and reset, trace attachment.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "netlist/builder.hpp"
 #include "obs/metrics.hpp"
@@ -22,6 +24,15 @@ netlist::Netlist fig1_pipeline() {
   return b.build();
 }
 
+/// Fig. 5 shape: a 4-thread full-MEB pipeline around a shared function.
+netlist::Netlist fig5_pipeline() {
+  netlist::CircuitBuilder b;
+  b.source("src") >> b.buffer("b0") >> b.function("sq", "square") >>
+      b.buffer("b1") >> b.sink("out");
+  b.then_multithreaded(4, mt::MebKind::kFull);
+  return b.build();
+}
+
 std::unique_ptr<netlist::Elaboration> elaborate(const netlist::Netlist& net,
                                                 sim::KernelKind kernel) {
   netlist::ElaborationOptions opt;
@@ -30,11 +41,39 @@ std::unique_ptr<netlist::Elaboration> elaborate(const netlist::Netlist& net,
   auto e = std::make_unique<netlist::Elaboration>(
       net, netlist::FunctionRegistry::with_defaults(),
       netlist::ComponentFactory::defaults(), opt);
-  e->source("src").set_generator([](std::uint64_t i) { return i; });
-  e->source("src").set_rate(0.8, 7);
-  e->sink("out").set_rate(0.6, 11);
+  if (e->is_multithreaded()) {
+    for (std::size_t t = 0; t < e->threads(); ++t) {
+      e->mt_source("src").set_generator(t, [t](std::uint64_t i) { return (t << 32) + i; });
+      e->mt_source("src").set_rate(t, 0.8, 7 + t);
+      e->mt_sink("out").set_rate(t, 0.6, 11 + t);
+    }
+  } else {
+    e->source("src").set_generator([](std::uint64_t i) { return i; });
+    e->source("src").set_rate(0.8, 7);
+    e->sink("out").set_rate(0.6, 11);
+  }
   e->simulator().reset();
   return e;
+}
+
+/// Every (circuit, kernel) pair the profiler tests run on.
+struct ProfiledCase {
+  const char* circuit;
+  netlist::Netlist net;
+  sim::KernelKind kernel;
+};
+
+std::vector<ProfiledCase> profiled_cases() {
+  std::vector<ProfiledCase> cases;
+  for (const sim::KernelKind kernel : {sim::KernelKind::kNaive, sim::KernelKind::kEventDriven}) {
+    cases.push_back({"fig1", fig1_pipeline(), kernel});
+    cases.push_back({"fig5", fig5_pipeline(), kernel});
+  }
+  return cases;
+}
+
+std::string case_name(const ProfiledCase& c) {
+  return std::string(c.circuit) + " on the " + sim::to_string(c.kernel) + " kernel";
 }
 
 TEST(ObsIntegration, SemanticSnapshotIsByteIdenticalAcrossKernels) {
@@ -66,12 +105,11 @@ TEST(ObsIntegration, StableSnapshotIsByteIdenticalAcrossRuns) {
 }
 
 TEST(ObsIntegration, RegistryHasNoObserverEffect) {
-  // Pull model: a run that takes snapshots and a run with the registry
-  // disabled must do bit-identical simulation work.
+  // Pull model: a run that takes snapshots and a twin that never takes
+  // one must do bit-identical simulation work.
   const netlist::Netlist net = fig1_pipeline();
   auto observed = elaborate(net, sim::KernelKind::kEventDriven);
   auto dark = elaborate(net, sim::KernelKind::kEventDriven);
-  dark->simulator().metrics().set_enabled(false);
   for (int burst = 0; burst < 5; ++burst) {
     observed->simulator().run(100);
     dark->simulator().run(100);
@@ -80,7 +118,6 @@ TEST(ObsIntegration, RegistryHasNoObserverEffect) {
   EXPECT_EQ(observed->simulator().settle_work(), dark->simulator().settle_work());
   EXPECT_EQ(observed->simulator().eval_count(), dark->simulator().eval_count());
   EXPECT_EQ(observed->simulator().tick_count(), dark->simulator().tick_count());
-  EXPECT_TRUE(dark->simulator().metrics().snapshot().rows().empty());
 }
 
 TEST(ObsIntegration, ChannelMetricsMatchProbeAccessors) {
@@ -187,6 +224,105 @@ TEST(ObsIntegration, ProfilerCountsAreExactAndRanked) {
   };
   EXPECT_FALSE(has_profile_rows(snap));
   EXPECT_TRUE(has_profile_rows(with_prof));
+}
+
+TEST(ObsIntegration, ProfilerHasNoObserverEffect) {
+  // Timing a dispatch must not change what is dispatched: an unprofiled
+  // run and runs profiled at stride 1 and 7 do identical kernel work and
+  // reach identical circuit state.
+  for (const ProfiledCase& c : profiled_cases()) {
+    SCOPED_TRACE(case_name(c));
+    auto plain = elaborate(c.net, c.kernel);
+    auto every = elaborate(c.net, c.kernel);
+    auto strided = elaborate(c.net, c.kernel);
+    PhaseProfiler s1(1);
+    PhaseProfiler s7(7);
+    every->simulator().set_profiler(&s1);
+    strided->simulator().set_profiler(&s7);
+    for (auto* e : {plain.get(), every.get(), strided.get()}) e->simulator().run(400);
+    every->simulator().set_profiler(nullptr);
+    strided->simulator().set_profiler(nullptr);
+    EXPECT_GT(s1.sample_count(), s7.sample_count());
+
+    const sim::Simulator& ref = plain->simulator();
+    for (auto* e : {every.get(), strided.get()}) {
+      const sim::Simulator& sim = e->simulator();
+      EXPECT_EQ(sim.settle_work(), ref.settle_work());
+      EXPECT_EQ(sim.eval_count(), ref.eval_count());
+      EXPECT_EQ(sim.tick_count(), ref.tick_count());
+      EXPECT_EQ(sim.elided_tick_count(), ref.elided_tick_count());
+      ASSERT_EQ(sim.component_count(), ref.component_count());
+      for (std::size_t i = 0; i < ref.component_count(); ++i) {
+        EXPECT_EQ(sim.components()[i]->kernel_eval_calls(),
+                  ref.components()[i]->kernel_eval_calls());
+        EXPECT_EQ(sim.components()[i]->kernel_tick_calls(),
+                  ref.components()[i]->kernel_tick_calls());
+      }
+      EXPECT_EQ(sim.metrics().snapshot(kSemanticOnly).to_csv(),
+                ref.metrics().snapshot(kSemanticOnly).to_csv());
+    }
+  }
+}
+
+TEST(ObsIntegration, ProfilerSamplesEveryStrideThDispatch) {
+  // Every eval and tick dispatch counts towards the stride, and the first
+  // one is sampled: D dispatches at stride k give ceil(D / k) samples.
+  for (const ProfiledCase& c : profiled_cases()) {
+    for (const std::uint32_t stride : {1u, 7u, 64u}) {
+      SCOPED_TRACE(case_name(c) + ", stride " + std::to_string(stride));
+      auto e = elaborate(c.net, c.kernel);
+      sim::Simulator& sim = e->simulator();
+      sim.run(50);  // attach mid-run: only dispatches after attaching count
+      const std::uint64_t evals0 = sim.eval_count();
+      const std::uint64_t ticks0 = sim.tick_count();
+      PhaseProfiler prof(stride);
+      sim.set_profiler(&prof);
+      sim.run(300);
+      sim.set_profiler(nullptr);
+      const std::uint64_t dispatched =
+          (sim.eval_count() - evals0) + (sim.tick_count() - ticks0);
+      EXPECT_EQ(prof.sample_count(), (dispatched + stride - 1) / stride);
+    }
+  }
+}
+
+TEST(ObsIntegration, ProfileTypesSumTheirInstances) {
+  // A type row's sampled seconds are the sum of its instances' seconds,
+  // and instances come back most expensive first.
+  for (const ProfiledCase& c : profiled_cases()) {
+    SCOPED_TRACE(case_name(c));
+    auto e = elaborate(c.net, c.kernel);
+    PhaseProfiler prof;
+    e->simulator().set_profiler(&prof);
+    e->simulator().run(300);
+    e->simulator().set_profiler(nullptr);
+    const auto& components = e->simulator().components();
+    const ProfileReport report = prof.report(components, components.size());
+    ASSERT_EQ(report.top_instances().size(), components.size());
+
+    std::map<std::string, const InstanceRow*> by_name;
+    for (const InstanceRow& row : report.top_instances()) by_name[row.name] = &row;
+    std::map<std::string, std::pair<double, double>> summed;
+    for (const sim::Component* comp : components) {
+      const InstanceRow& row = *by_name.at(comp->name());
+      summed[row.type].first += row.settle_seconds;
+      summed[row.type].second += row.commit_seconds;
+    }
+    ASSERT_EQ(summed.size(), report.rows().size());
+    for (const ProfileRow& row : report.rows()) {
+      EXPECT_DOUBLE_EQ(row.settle_seconds, summed[row.type].first) << row.type;
+      EXPECT_DOUBLE_EQ(row.commit_seconds, summed[row.type].second) << row.type;
+    }
+    for (std::size_t i = 1; i < report.top_instances().size(); ++i) {
+      const InstanceRow& a = report.top_instances()[i - 1];
+      const InstanceRow& b = report.top_instances()[i];
+      const double at = a.settle_seconds + a.commit_seconds;
+      const double bt = b.settle_seconds + b.commit_seconds;
+      const bool ordered =
+          at > bt || (at == bt && (a.evals > b.evals || (a.evals == b.evals && a.name < b.name)));
+      EXPECT_TRUE(ordered) << a.name << " before " << b.name;
+    }
+  }
 }
 
 TEST(ObsIntegration, TraceSessionRecordsEveryCycleWhenAttached) {

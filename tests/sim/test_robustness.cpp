@@ -396,12 +396,44 @@ TEST(Watchdog, DeadlockBundleNamesCycleAndRoundTrips) {
   }
 }
 
+TEST(Watchdog, ErrorNamesOnlyTheBundleFilesWritten) {
+  // A bundle file that cannot be written (here the trace path is a
+  // directory) must not be named in the error: the message lists what is
+  // actually on disk. The first run finds the cycle the watchdog fires at.
+  const Netlist net = join_cycle_netlist();
+  const std::string dir = ::testing::TempDir() + "mte_postmortem_partial";
+  std::filesystem::remove_all(dir);
+  std::string prefix;
+  std::string message;
+  for (int run = 0; run < 2; ++run) {
+    Rig rig(net, sim::KernelKind::kEventDriven);
+    rig.elab->source("src").set_generator([](std::uint64_t i) { return i; });
+    rig.sim().set_watchdog(40, dir);
+    rig.sim().reset();
+    try {
+      rig.sim().run(200);
+      FAIL() << "structural deadlock did not trip the watchdog";
+    } catch (const sim::WatchdogError& ex) {
+      message = ex.what();
+    }
+    prefix = dir + "/postmortem_c" + std::to_string(rig.sim().now());
+    if (run == 0) {
+      std::filesystem::remove_all(dir);
+      std::filesystem::create_directories(prefix + ".trace.json");
+    }
+  }
+  EXPECT_NE(message.find("post-mortem bundle: " + prefix + ".{snap,diagnosis.txt}\n"),
+            std::string::npos)
+      << message;
+  EXPECT_TRUE(std::filesystem::exists(prefix + ".snap"));
+  EXPECT_TRUE(std::filesystem::exists(prefix + ".diagnosis.txt"));
+}
+
 TEST(Watchdog, DiagnosisSurvivesLongStalledChain) {
   // source -> 5x10^4-node function chain -> sink that never readies: every
   // channel is backpressured, so the wait-for search walks one path the
   // length of the chain. A recursive walk overflows the default stack
-  // here. The naive kernel keeps the test fast: the event kernel's first
-  // settle on a buffer-free chain is quadratic in its length.
+  // here.
   constexpr std::size_t kNodes = 50000;
   Netlist net;
   std::size_t prev = net.add(Node::source("src"));

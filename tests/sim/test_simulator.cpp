@@ -90,14 +90,6 @@ TEST(Simulator, CombinationalLoopDetected) {
   EXPECT_THROW(s.step(), CombinationalLoopError);
 }
 
-TEST(Simulator, SettleLimitOverride) {
-  Simulator s;
-  Wire<bool> a(s.tracker(), false);
-  Not n(s, a, a);
-  s.set_settle_limit(3);
-  EXPECT_THROW(s.settle(), CombinationalLoopError);
-}
-
 TEST(Simulator, ResetRestartsCycleCountAndState) {
   Simulator s;
   Wire<int> q(s.tracker(), 0);

@@ -8,7 +8,8 @@
 //    restore under the event-driven kernel (and vice versa) because
 //    restore rematerializes scheduler state instead of trusting it;
 //  - malformed snapshots (bad magic/version, truncation, trailing bytes,
-//    payload corruption, wrong circuit) must be rejected loudly;
+//    payload corruption, wrong circuit, crafted counts) must be rejected
+//    loudly;
 //  - per-cycle observers restart empty after a restore, with event cycles
 //    continuing from the snapshot cycle (documented semantics: what an
 //    on_cycle observer records is external to the simulator and is NOT
@@ -27,6 +28,7 @@
 #include "elastic/source.hpp"
 #include "kernel_lockstep.hpp"
 #include "md5/md5_circuit.hpp"
+#include "mt/mt_sink.hpp"
 #include "sim/snapshot.hpp"
 #include "snapshot_circuits.hpp"
 
@@ -218,6 +220,44 @@ TEST_F(SnapshotRejectTest, WrongCircuit) {
   const auto& other = cases[2];  // fork_join_diamond
   auto e = make_elab(other, sim::KernelKind::kEventDriven);
   EXPECT_THROW(restore_from(e->simulator(), snap_), sim::SnapshotError);
+}
+
+TEST(SnapshotCounts, HugeCountsThrowSnapshotError) {
+  // A crafted count under a valid CRC must fail as SnapshotError before
+  // anything is sized by it, never as length_error or bad_alloc.
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  const auto framed = [](const std::vector<std::uint8_t>& payload) {
+    sim::SnapshotWriter w;
+    const std::size_t frame = w.begin_frame();
+    for (const std::uint8_t b : payload) w.write_u8(b);
+    w.end_frame(frame);
+    w.write_u64(sim::kSnapshotEnd);  // bytes past the frame do not count
+    return sim::SnapshotReader(w.bytes());
+  };
+  const auto with_count_at = [](std::vector<std::uint8_t> bytes, std::size_t offset) {
+    for (int k = 0; k < 8; ++k) {
+      bytes[offset + static_cast<std::size_t>(k)] = static_cast<std::uint8_t>(kHuge >> (8 * k));
+    }
+    return bytes;
+  };
+
+  sim::SnapshotWriter vec;
+  sim::snapshot_write_vector(vec, std::vector<std::uint64_t>{7});
+  sim::SnapshotReader r = framed(with_count_at(vec.bytes(), 0));
+  (void)r.open_frame("vector");
+  std::vector<std::uint64_t> v;
+  EXPECT_THROW(sim::snapshot_read_vector(r, v), sim::SnapshotError);
+
+  // MtSink's arrival log: the state of a fresh 2-thread sink, with its
+  // trailing order_ count (the last u64 written) set to 2^40.
+  sim::Simulator s;
+  mt::MtChannel<std::uint64_t> ch(s, "ch", 2);
+  mt::MtSink<std::uint64_t> sink(s, "sink", ch);
+  sim::SnapshotWriter state;
+  sink.save_state(state);
+  sim::SnapshotReader sr = framed(with_count_at(state.bytes(), state.bytes().size() - 8));
+  (void)sr.open_frame("sink");
+  EXPECT_THROW(sink.load_state(sr), sim::SnapshotError);
 }
 
 // --- md5 digest cross-check --------------------------------------------------

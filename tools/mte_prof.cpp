@@ -303,9 +303,13 @@ int main(int argc, char** argv) {
       std::cerr << "mte_prof: " << ex.what() << '\n';
     }
 
+    // A snapshot (and the profile report inside it) costs time linear in
+    // the design: take one only when it is written or printed.
     const auto mask = args.all_categories ? mte::obs::kAllCategories
                                           : mte::obs::kStableCategories;
-    const auto snap = sim.metrics().snapshot(mask);
+    const bool want_snapshot = !args.metrics_path.empty() || !args.quiet;
+    const auto snap = want_snapshot ? sim.metrics().snapshot(mask)
+                                    : mte::obs::MetricsSnapshot({});
     if (!args.metrics_path.empty()) {
       const bool csv = args.metrics_path.size() >= 4 &&
                        args.metrics_path.compare(args.metrics_path.size() - 4,
