@@ -29,6 +29,14 @@
 //                 per-dispatch clock reads would distort them). Kernel
 //                 bookkeeping between dispatches is in neither phase.
 //
+// Every row also records relevel_work (Simulator::relevel_work): the
+// processes plus edges the event kernel's full levelization passes
+// visited during the measured window. The steady rows run after a warm-up
+// and read 0; the chain_fill row times the first n+50 cycles from reset
+// of a 1,000-stage S=4 chain, the window in which a filling pipeline
+// discovers its wires, on a fresh elaboration per rep (reset() keeps the
+// discovered graph, so a second rep on one design would skip the warm-up).
+//
 // `bench_sim_speed --gate` runs only the CI regression gates on fig5_full
 // S=4 under backpressure: the event kernel must stay below a committed
 // settle-work budget per cycle (a future component that forgets
@@ -40,6 +48,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -78,6 +87,7 @@ struct Measurement {
   double ticks = 0.0;             // tick() dispatches per cycle (commit work)
   double elided = 0.0;            // ticks skipped by elision, per cycle
   bool demoted = false;           // event kernel fell back to naive order
+  std::uint64_t relevel_work = 0; // levelization processes + edges visited
   double commit_share = 0.0;      // tick / (eval + tick) dispatch time
   std::uint64_t tokens = 0;
   std::uint64_t digest_check = 0; // md5 rows: order-sensitive digest mix
@@ -109,18 +119,19 @@ double profiled_commit_share(sim::Simulator& s, Stretch stretch) {
   return total > 0.0 ? report.total_commit_seconds() / total : 0.0;
 }
 
-/// The fig5-shaped MEB pipeline: four stages of buffer + function unit
-/// between a source and a sink, multithreaded to S threads of the chosen
-/// MEB flavour. The function units model the datapath operators elastic
-/// pipelines buffer (paper Fig. 5 shows the buffers; real stages compute),
-/// and their pass-through handshake is what gives the pipeline its
-/// multi-step combinational ready/valid chains. With S == 1 the same
-/// netlist elaborates to the single-thread elastic primitives.
-void describe_fig5(netlist::CircuitBuilder& b) {
+/// The fig5-shaped MEB pipeline: `stages` stages of buffer + function
+/// unit between a source and a sink (four for the fig5 rows),
+/// multithreaded to S threads of the chosen MEB flavour. The function
+/// units model the datapath operators elastic pipelines buffer (paper
+/// Fig. 5 shows the buffers; real stages compute), and their pass-through
+/// handshake is what gives the pipeline its multi-step combinational
+/// ready/valid chains. With S == 1 the same netlist elaborates to the
+/// single-thread elastic primitives.
+void describe_chain(netlist::CircuitBuilder& b, std::size_t stages) {
   auto stage = b.source("src") >> b.buffer("m0") >> b.function("fu0", "inc");
-  for (int i = 1; i < 4; ++i) {
-    stage = stage >> b.buffer("m" + std::to_string(i)) >>
-            b.function("fu" + std::to_string(i), "inc");
+  for (std::size_t i = 1; i < stages; ++i) {
+    const std::string id = std::to_string(i);
+    stage = stage >> b.buffer("m" + id) >> b.function("fu" + id, "inc");
   }
   stage >> b.sink("sink");
 }
@@ -169,6 +180,7 @@ Measurement measure_md5(const Workload& w, sim::KernelKind kernel) {
   const double work_before = c.simulator().settle_work();
   const std::uint64_t ticks_before = c.simulator().tick_count();
   const std::uint64_t elided_before = c.simulator().elided_tick_count();
+  const std::uint64_t relevel_before = c.simulator().relevel_work();
   for (int rep = 0; rep < kReps; ++rep) {
     std::uint64_t cycles = 0;
     const auto t0 = std::chrono::steady_clock::now();
@@ -191,6 +203,7 @@ Measurement measure_md5(const Workload& w, sim::KernelKind kernel) {
       static_cast<double>(c.simulator().elided_tick_count() - elided_before) /
       static_cast<double>(kReps) / static_cast<double>(cycles_per_rep);
   m.demoted = c.simulator().demoted_to_naive();
+  m.relevel_work = (c.simulator().relevel_work() - relevel_before) / kReps;
   m.commit_share = profiled_commit_share(c.simulator(), [&c] {
     for (int d = 0; d < 8; ++d) (void)c.run();
   });
@@ -204,11 +217,66 @@ Measurement measure_md5(const Workload& w, sim::KernelKind kernel) {
   return m;
 }
 
+/// The fill window: the first w.cycles (n+50) cycles from reset of an
+/// n = 1,000-stage chain, source rate 0.9, probes off. Each rep (and the
+/// profiled commit_share pass) runs on a fresh elaboration.
+Measurement measure_fill(const Workload& w, sim::KernelKind kernel) {
+  netlist::CircuitBuilder b;
+  describe_chain(b, 1000);
+  b.then_multithreaded(w.threads, w.kind);
+  netlist::ElaborationOptions options;
+  options.channel_probes = false;
+  options.kernel = kernel;
+  const auto registry = netlist::FunctionRegistry::with_defaults();
+  const auto factory = netlist::ComponentFactory::defaults();
+  const netlist::Netlist net = b.build();
+  const auto fresh = [&] {
+    auto design = std::make_unique<netlist::Elaboration>(net, registry, factory, options);
+    for (std::size_t t = 0; t < w.threads; ++t) {
+      design->mt_source("src").set_generator(t, [](std::uint64_t i) { return i; });
+      design->mt_source("src").set_rate(t, 0.9, 7);
+      design->mt_sink("sink").set_rate(t, w.sink_rate, 42);
+    }
+    design->simulator().reset();
+    return design;
+  };
+
+  Measurement m;
+  m.circuit = w.name;
+  m.threads = w.threads;
+  m.kernel = sim::to_string(kernel);
+  m.cycles = w.cycles;
+  constexpr int kReps = 3;
+  for (int rep = 0; rep < kReps; ++rep) {
+    auto design = fresh();
+    sim::Simulator& s = design->simulator();
+    const auto t0 = std::chrono::steady_clock::now();
+    s.run(w.cycles);
+    const auto t1 = std::chrono::steady_clock::now();
+    const double dt = std::chrono::duration<double>(t1 - t0).count();
+    if (rep == 0 || dt < m.seconds) m.seconds = dt;
+    // Every rep runs the same deterministic window.
+    m.sched_evals = s.eval_count();
+    m.evals = s.settle_work();
+    m.ticks = static_cast<double>(s.tick_count()) / static_cast<double>(w.cycles);
+    m.elided = static_cast<double>(s.elided_tick_count()) / static_cast<double>(w.cycles);
+    m.demoted = s.demoted_to_naive();
+    m.relevel_work = s.relevel_work();
+    m.tokens = design->mt_sink("sink").total_count();
+  }
+  m.cycles_per_sec = static_cast<double>(w.cycles) / m.seconds;
+  auto profiled = fresh();
+  sim::Simulator& s = profiled->simulator();
+  m.commit_share = profiled_commit_share(s, [&s, &w] { s.run(w.cycles); });
+  return m;
+}
+
 Measurement measure(const Workload& w, sim::KernelKind kernel) {
   if (w.name.rfind("md5", 0) == 0) return measure_md5(w, kernel);
+  if (w.name == "chain_fill") return measure_fill(w, kernel);
   netlist::CircuitBuilder b;
   if (w.name.rfind("fig5", 0) == 0) {
-    describe_fig5(b);
+    describe_chain(b, 4);
   } else if (w.name.rfind("buffers", 0) == 0) {
     describe_buffer_chain(b);
   } else {
@@ -235,6 +303,7 @@ Measurement measure(const Workload& w, sim::KernelKind kernel) {
     const double work_before = s.settle_work();
     const std::uint64_t ticks_before = s.tick_count();
     const std::uint64_t elided_before = s.elided_tick_count();
+    const std::uint64_t relevel_before = s.relevel_work();
     double best = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
@@ -252,6 +321,7 @@ Measurement measure(const Workload& w, sim::KernelKind kernel) {
     m.elided = static_cast<double>(s.elided_tick_count() - elided_before) /
                static_cast<double>(kReps) / static_cast<double>(w.cycles);
     m.demoted = s.demoted_to_naive();
+    m.relevel_work = (s.relevel_work() - relevel_before) / kReps;
     m.commit_share = profiled_commit_share(s, [&s, &w] { s.run(w.cycles / 4); });
   };
 
@@ -277,19 +347,20 @@ Measurement measure(const Workload& w, sim::KernelKind kernel) {
 }
 
 void append_json(std::string& out, const Measurement& m) {
-  char buf[896];
+  char buf[960];
   std::snprintf(buf, sizeof(buf),
                 "    {\"circuit\": \"%s\", \"threads\": %zu, \"kernel\": \"%s\", "
                 "\"cycles\": %llu, \"seconds\": %.6f, \"cycles_per_sec\": %.1f, "
                 "\"evals\": %.1f, \"sched_evals\": %llu, "
                 "\"ticks_per_cycle\": %.2f, \"elided_ticks_per_cycle\": %.2f, "
-                "\"demoted_to_naive\": %s, \"commit_share\": %.3f, "
-                "\"tokens\": %llu, \"digest_check\": %llu}",
+                "\"demoted_to_naive\": %s, \"relevel_work\": %llu, "
+                "\"commit_share\": %.3f, \"tokens\": %llu, \"digest_check\": %llu}",
                 m.circuit.c_str(), m.threads, m.kernel.c_str(),
                 static_cast<unsigned long long>(m.cycles), m.seconds,
                 m.cycles_per_sec, m.evals,
                 static_cast<unsigned long long>(m.sched_evals),
-                m.ticks, m.elided, m.demoted ? "true" : "false", m.commit_share,
+                m.ticks, m.elided, m.demoted ? "true" : "false",
+                static_cast<unsigned long long>(m.relevel_work), m.commit_share,
                 static_cast<unsigned long long>(m.tokens),
                 static_cast<unsigned long long>(m.digest_check));
   out += buf;
@@ -338,7 +409,7 @@ int run_gate() {
 void run_profile_pass() {
   const Workload w{"fig5_full", 4, mt::MebKind::kFull, 20000, 0.75};
   netlist::CircuitBuilder b;
-  describe_fig5(b);
+  describe_chain(b, 4);
   netlist::ElaborationOptions options;
   options.channel_probes = false;
   options.kernel = sim::KernelKind::kEventDriven;
@@ -415,6 +486,7 @@ int main(int argc, char** argv) {
       {"fig5_reduced", 8, mt::MebKind::kReduced, 50000, 0.75},
       {"md5_block", 1, mt::MebKind::kReduced, 0, 1.0},
       {"md5_block", 8, mt::MebKind::kReduced, 0, 1.0},
+      {"chain_fill", 4, mt::MebKind::kFull, 1050, 0.7},
   };
 
   std::printf("sim_speed: settle-kernel comparison (cycles/sec)\n");

@@ -11,6 +11,8 @@
 //   sim.ticks                       tick() dispatches (commit work)
 //   sim.elided_ticks                commits skipped by tick elision
 //   sim.demoted_to_naive            0/1: event kernel fell back to naive
+//   sim.relevel_work                processes + edges the full
+//                                   levelization passes visited
 //   component.<name>.evals          per-component eval dispatches
 //   component.<name>.ticks          per-component tick dispatches
 //   channel.<name>.transfers        ChannelProbe: completed handshakes

@@ -38,6 +38,30 @@ inline void dispatch(obs::PhaseProfiler* profiler, const Component& c, obs::Phas
 
 }  // namespace
 
+// Levels change only in Simulator::relevelize, and along every known edge
+// they do not decrease. An edge whose writer sits strictly below its
+// reader therefore closes no cycle and raises no longest-path level: only
+// an edge the levels do not order needs the full pass.
+void WireBase::discover_reader(Process& p) const {
+  p.reads_wires = true;
+  last_reader_ = &p;
+  for (const Process* r : fanout_) {
+    if (r == &p) return;
+  }
+  fanout_.push_back(&p);
+  if (writer_ != nullptr && writer_->level >= p.level) tracker_->mark_topology_dirty();
+}
+
+void WireBase::discover_writer(Process& p) {
+  writer_ = &p;
+  for (const Process* r : fanout_) {
+    if (p.level >= r->level) {
+      tracker_->mark_topology_dirty();
+      return;
+    }
+  }
+}
+
 Component::Component(Simulator& sim, std::string name)
     : sim_(&sim), name_(std::move(name)) {
   sim.register_component(*this);
@@ -65,6 +89,7 @@ void Simulator::emit_sim_metrics(obs::MetricsSink& sink) const {
   sink.counter("sim.elided_ticks", elided_tick_count_, MetricCategory::kKernel);
   sink.counter("sim.demoted_to_naive", demoted_to_naive_ ? 1 : 0,
                MetricCategory::kKernel);
+  sink.counter("sim.relevel_work", relevel_work_, MetricCategory::kKernel);
   for (const Component* c : components_) {
     sink.counter("component." + c->name() + ".evals", c->kernel_eval_calls(),
                  MetricCategory::kKernel);
@@ -335,6 +360,7 @@ void Simulator::relevelize() {
   // their own, which is exactly what makes ready-passthrough chains
   // acyclic.
   std::vector<std::vector<std::uint32_t>> succ(n);
+  std::size_t edges = 0;
   for (const WireBase* w : tracker_.wires()) {
     const Process* writer = w->writer();
     if (writer == nullptr) continue;  // externally driven
@@ -342,7 +368,9 @@ void Simulator::relevelize() {
     for (const Process* reader : w->fanout()) {
       succ[wi].push_back(proc_id(reader));
     }
+    edges += w->fanout().size();
   }
+  relevel_work_ += n + edges;
 
   // Strongly connected components (iterative Tarjan), then longest-path
   // levels over the condensation DAG. Processes of the same SCC (e.g. the
@@ -531,6 +559,9 @@ std::string Simulator::write_postmortem(const std::string& diagnosis) const {
 }
 
 void Simulator::save(std::ostream& os) const {
+  // The writer hands its bytes to `os` whenever this many have piled up
+  // between two top-level frames, so it never holds the whole snapshot.
+  constexpr std::size_t kDrainBytes = 64 * 1024;
   SnapshotWriter w;
   for (const char c : kSnapshotMagic) w.write_u8(static_cast<std::uint8_t>(c));
   w.write_u32(kSnapshotVersion);
@@ -546,6 +577,7 @@ void Simulator::save(std::ostream& os) const {
     const std::size_t frame = w.begin_short_frame();
     wb->save_value(w);
     w.end_short_frame(frame);
+    if (w.position() >= kDrainBytes) w.write_to(os);
   }
 
   w.write_u64(components_.size());
@@ -555,6 +587,7 @@ void Simulator::save(std::ostream& os) const {
     const std::size_t frame = w.begin_frame();
     c->save_state(w);
     w.end_frame(frame);
+    if (w.position() >= kDrainBytes) w.write_to(os);
   }
   w.write_u64(kSnapshotEnd);
   w.write_to(os);

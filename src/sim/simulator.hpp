@@ -28,7 +28,9 @@
 //                             evaluates only processes whose inputs
 //                             actually changed. A Tarjan-SCC levelization
 //                             pass over the discovered process graph
-//                             orders the worklist topologically, so
+//                             orders the worklist topologically (it reruns
+//                             only when a discovered edge is not ordered
+//                             by the current levels), so
 //                             acyclic regions settle in one ordered sweep
 //                             — and because split components decouple the
 //                             two handshake directions, MEB -> operator
@@ -237,6 +239,13 @@ class Simulator {
   /// the sim-speed gate budgets alongside settle work.
   [[nodiscard]] std::uint64_t tick_count() const noexcept { return tick_count_; }
 
+  /// Levelization work since construction: the processes plus the
+  /// writer->reader edges each full relevelization pass visited. The pass
+  /// reruns only when a discovered edge is not ordered by the current
+  /// levels, so on an acyclic pipeline it stays flat once the first
+  /// settles have discovered its graph; 0 under the naive kernel.
+  [[nodiscard]] std::uint64_t relevel_work() const noexcept { return relevel_work_; }
+
   // --- observability --------------------------------------------------------
   /// The simulator's metrics registry. The simulator itself registers one
   /// source publishing sim.* and component.* (and, when attached, the
@@ -349,6 +358,7 @@ class Simulator {
   std::size_t level_count_ = 0;      // acyclic levels; cyclic bucket follows
   std::vector<Component*> seq_components_;
   std::vector<std::vector<Process*>> buckets_;  // worklist, by level
+  std::uint64_t relevel_work_ = 0;  // processes + edges over all full passes
 };
 
 }  // namespace mte::sim

@@ -85,7 +85,9 @@ inline constexpr std::uint64_t kSnapshotEnd = 0x21444e4550414e53ULL;  // "SNAPEN
 }
 
 /// Accumulates a snapshot into a byte buffer; every primitive is written
-/// little-endian regardless of host byte order.
+/// little-endian regardless of host byte order. write_to drains the buffer
+/// into a stream, so a long snapshot can leave in pieces; offsets
+/// (position(), frame tokens) count from the last drain.
 class SnapshotWriter {
  public:
   void write_u8(std::uint8_t v) { bytes_.push_back(v); }
@@ -151,10 +153,14 @@ class SnapshotWriter {
     return bytes_;
   }
 
-  void write_to(std::ostream& os) const {
+  /// Appends the buffered bytes to `os` and empties the buffer, keeping
+  /// its capacity. Frame tokens are buffer offsets: drain only while no
+  /// frame is open.
+  void write_to(std::ostream& os) {
     os.write(reinterpret_cast<const char*>(bytes_.data()),
              static_cast<std::streamsize>(bytes_.size()));
     if (!os) throw SnapshotError("snapshot write to stream failed");
+    bytes_.clear();
   }
 
  private:
@@ -181,8 +187,16 @@ class SnapshotReader {
   explicit SnapshotReader(std::vector<std::uint8_t> bytes)
       : bytes_(std::move(bytes)), limit_(bytes_.size()) {}
 
+  /// Reads `is` to its end. When the stream can tell its remaining length
+  /// (a file, a string stream), the buffer is sized once up front.
   static SnapshotReader from_stream(std::istream& is) {
     std::vector<std::uint8_t> bytes;
+    if (const std::istream::pos_type here = is.tellg(); here != std::istream::pos_type(-1)) {
+      is.seekg(0, std::ios::end);
+      const std::streamoff left = is.tellg() - here;
+      is.seekg(here);
+      if (is && left > 0) bytes.reserve(static_cast<std::size_t>(left));
+    }
     char chunk[4096];
     while (is.read(chunk, sizeof chunk) || is.gcount() > 0) {
       bytes.insert(bytes.end(), chunk, chunk + is.gcount());

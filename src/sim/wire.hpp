@@ -18,6 +18,13 @@
 //     wire sets per process),
 //   - a dirty-process worklist on the ChangeTracker: a write that changes
 //     the value enqueues exactly the fanout of that wire.
+// Each (writer, reader) pair is an edge of the process graph the kernel
+// levelizes. A discovery marks the topology dirty only when it adds an
+// edge whose writer's level is not below its reader's: an edge the
+// current levels already order closes no cycle and raises no longest-path
+// level, so a full relevelization would write back the same levels. The
+// discovery bodies live out of line (simulator.cpp), so the inlined get()
+// and set() keep only the checks that find nothing new.
 #pragma once
 
 #include <cstddef>
@@ -77,8 +84,11 @@ class ChangeTracker {
   void clear_worklist() noexcept { worklist_.clear(); }
 
   // --- topology -----------------------------------------------------------
-  /// Set when a wire records a previously unseen reader or writer; the
-  /// event kernel then recomputes levels before its next settle.
+  /// Set when a wire records a writer->reader edge the current levels do
+  /// not order (writer level >= reader level), or when records are
+  /// dropped; the event kernel then recomputes levels before its next
+  /// settle. A discovery that adds no edge, or an edge whose writer sits
+  /// strictly below its reader, leaves it clear.
   void mark_topology_dirty() noexcept { topology_dirty_ = true; }
   bool consume_topology_dirty() noexcept { return std::exchange(topology_dirty_, false); }
 
@@ -149,27 +159,17 @@ class WireBase {
   void record_read() const {
     Process* p = tracker_->evaluating();
     if (p == nullptr || p == last_reader_) return;
-    p->reads_wires = true;
-    last_reader_ = p;
-    for (Process* r : fanout_) {
-      if (r == p) return;
-    }
-    fanout_.push_back(p);
-    tracker_->mark_topology_dirty();
+    discover_reader(*p);
   }
 
   /// Records the currently evaluating process as this wire's driver.
   /// Only the first writer is recorded (wires are single-writer by
-  /// construction; the record feeds the levelization heuristic, while
+  /// construction; the writer->fanout edges order the worklist, while
   /// correctness rests on the read fanout) — so the settled fast path is
   /// one null check on a member the write touches anyway.
   void record_write() {
     if (writer_ != nullptr) return;
-    Process* p = tracker_->evaluating();
-    if (p != nullptr) {
-      writer_ = p;
-      tracker_->mark_topology_dirty();
-    }
+    if (Process* p = tracker_->evaluating(); p != nullptr) discover_writer(*p);
   }
 
   /// Value changed: flag the fixed-point bit and wake the fanout.
@@ -182,6 +182,12 @@ class WireBase {
 
  private:
   friend class ChangeTracker;
+
+  /// Cold halves of record_read/record_write (simulator.cpp): add the
+  /// reader or writer and mark the topology dirty when the new edges are
+  /// not ordered by the current levels.
+  [[gnu::cold]] void discover_reader(Process& p) const;
+  [[gnu::cold]] void discover_writer(Process& p);
 
   ChangeTracker* tracker_;
   mutable std::vector<Process*> fanout_;

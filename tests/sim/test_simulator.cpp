@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "chain_circuit.hpp"
+#include "md5/md5_circuit.hpp"
+#include "md5/md5_ref.hpp"
 #include "sim/simulator.hpp"
 
 namespace mte::sim {
@@ -224,6 +230,43 @@ TEST(Simulator, DeepCombinationalChainSettles) {
   s.run(2);
   s.settle();
   EXPECT_EQ(q.get(), 2 * 51);
+}
+
+TEST(Simulator, OrderedDiscoveryDoesNotRelevelize) {
+  // While a buffered chain fills, its stages read and write wires for the
+  // first time every cycle, but each edge this adds runs from a lower
+  // level to a higher one: after the first two settles have found the
+  // graph, no discovery reruns the full levelization pass.
+  constexpr std::size_t kStages = 50;
+  auto e = chaintest::elaborate_chain(kStages, KernelKind::kEventDriven);
+  Simulator& s = e->simulator();
+  s.run(2);
+  const std::uint64_t after_two = s.relevel_work();
+  EXPECT_GT(after_two, 0u);
+  EXPECT_EQ(e->mt_sink("snk").total_count(), 0u);
+  s.run(2 * kStages + 50);
+  EXPECT_GT(e->mt_sink("snk").total_count(), 0u) << "the wave must reach the sink";
+  EXPECT_EQ(s.relevel_work(), after_two);
+}
+
+TEST(Simulator, OutOfOrderDiscoveryStillRelevelizes) {
+  // The MD5 engine's token loop adds edges after its first settles whose
+  // writer is not below its reader: each must still rerun the full pass,
+  // and the digests must still match the reference.
+  const std::vector<std::string> msgs = {"abc", std::string(100, 'm')};
+  md5::Md5Circuit c(msgs.size(), mt::MebKind::kFull);
+  for (std::size_t t = 0; t < msgs.size(); ++t) c.set_message(t, msgs[t]);
+  Simulator& s = c.simulator();
+  s.reset();
+  s.run(2);
+  const std::uint64_t after_two = s.relevel_work();
+  while (!c.feeder().all_done() && s.now() < 10000) s.step();
+  ASSERT_TRUE(c.feeder().all_done());
+  EXPECT_FALSE(s.demoted_to_naive());
+  EXPECT_GT(s.relevel_work(), after_two);
+  for (std::size_t t = 0; t < msgs.size(); ++t) {
+    EXPECT_EQ(c.digest_hex(t), md5::hex_digest(msgs[t])) << "thread " << t;
+  }
 }
 
 }  // namespace

@@ -17,12 +17,14 @@
 //    snapshot).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "chain_circuit.hpp"
 #include "elastic/elastic_buffer.hpp"
 #include "elastic/sink.hpp"
 #include "elastic/source.hpp"
@@ -387,6 +389,57 @@ TEST(SnapshotRestore, ChannelProbeCountersRestoreFromSnapshot) {
     EXPECT_EQ(a->probe(name).last_value(), b->probe(name).last_value()) << name;
   }
   EXPECT_GT(a->probe(a->channel_names().front()).count(), 0u);
+}
+
+// --- long snapshots ------------------------------------------------------------
+
+/// A string buffer that records its largest single write and, when built
+/// unseekable, refuses to tell or move its position, like a pipe.
+class WitnessBuf : public std::stringbuf {
+ public:
+  explicit WitnessBuf(std::string bytes = {}, bool seekable = true)
+      : std::stringbuf(std::move(bytes)), seekable_(seekable) {}
+  std::streamsize largest_write = 0;
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    largest_write = std::max(largest_write, n);
+    return std::stringbuf::xsputn(s, n);
+  }
+  pos_type seekoff(off_type off, std::ios_base::seekdir dir,
+                   std::ios_base::openmode which) override {
+    return seekable_ ? std::stringbuf::seekoff(off, dir, which) : pos_type(-1);
+  }
+  pos_type seekpos(pos_type pos, std::ios_base::openmode which) override {
+    return seekable_ ? std::stringbuf::seekpos(pos, which) : pos_type(-1);
+  }
+
+ private:
+  bool seekable_;
+};
+
+TEST(SnapshotRestore, LongSnapshotLeavesTheWriterInPieces) {
+  // save() hands a long snapshot to its stream a frame boundary at a
+  // time, so it never buffers all of it; restore reads it back from
+  // seekable and unseekable streams alike.
+  auto a = chaintest::elaborate_chain(500, sim::KernelKind::kEventDriven);
+  step_n(a->simulator(), 600);
+  WitnessBuf out;
+  std::ostream os(&out);
+  a->simulator().save(os);
+  const std::string snap = out.str();
+  ASSERT_GT(snap.size(), std::size_t{2} << 16);
+  EXPECT_LT(out.largest_write, static_cast<std::streamsize>(snap.size() / 2));
+  EXPECT_EQ(snapshot_of(a->simulator()), snap);
+
+  for (const bool seekable : {true, false}) {
+    SCOPED_TRACE(seekable ? "seekable" : "unseekable");
+    auto b = chaintest::elaborate_chain(500, sim::KernelKind::kEventDriven);
+    WitnessBuf in(snap, seekable);
+    std::istream is(&in);
+    b->simulator().restore(is);
+    EXPECT_EQ(snapshot_of(b->simulator()), snap);
+  }
 }
 
 }  // namespace
