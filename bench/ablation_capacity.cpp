@@ -1,6 +1,6 @@
 // ABL-SLOTS: MEB capacity ablation.
 //
-// Sweeps the shared-slot pool size K of the HybridMeb (K = 0 .. S) on a
+// Sweeps the shared-slot pool size K of the ReducedMeb (K = 0 .. S) on a
 // 3-stage, 4-thread pipeline and reports (a) survivor throughput in the
 // all-but-one-blocked corner case and (b) aggregate throughput under
 // uniform random backpressure, together with the modelled area. Expected
@@ -10,10 +10,10 @@
 #include <cstdio>
 
 #include "area/cost_model.hpp"
-#include "mt/hybrid_meb.hpp"
 #include "mt/mt_channel.hpp"
 #include "mt/mt_sink.hpp"
 #include "mt/mt_source.hpp"
+#include "mt/reduced_meb.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -25,12 +25,13 @@ struct Rig {
   explicit Rig(std::size_t threads, std::size_t stages, std::size_t k)
       : threads_(threads) {
     for (std::size_t i = 0; i <= stages; ++i) {
-      chans_.push_back(&s.make<mt::MtChannel<Token>>(s, "c" + std::to_string(i),
-                                                     threads));
+      const std::string index = std::to_string(i);
+      chans_.push_back(&s.make<mt::MtChannel<Token>>(s, "c" + index, threads));
     }
     for (std::size_t i = 0; i < stages; ++i) {
-      mebs_.push_back(&s.make<mt::HybridMeb<Token>>(s, "m" + std::to_string(i),
-                                                    *chans_[i], *chans_[i + 1], k));
+      const std::string index = std::to_string(i);
+      mebs_.push_back(&s.make<mt::ReducedMeb<Token>>(s, "m" + index, *chans_[i],
+                                                     *chans_[i + 1], nullptr, k));
     }
     src_ = &s.make<mt::MtSource<Token>>(s, "src", *chans_.front());
     sink_ = &s.make<mt::MtSink<Token>>(s, "sink", *chans_.back());
@@ -42,7 +43,7 @@ struct Rig {
   sim::Simulator s;
   std::size_t threads_;
   std::vector<mt::MtChannel<Token>*> chans_;
-  std::vector<mt::HybridMeb<Token>*> mebs_;
+  std::vector<mt::ReducedMeb<Token>*> mebs_;
   mt::MtSource<Token>* src_ = nullptr;
   mt::MtSink<Token>* sink_ = nullptr;
 };
@@ -72,7 +73,7 @@ double uniform_rate(std::size_t threads, std::size_t k) {
 int main() {
   const std::size_t threads = 4;
   area::CostModel model;
-  std::printf("ABL-SLOTS: HybridMeb shared-pool size K (S = %zu, 3 stages)\n\n", threads);
+  std::printf("ABL-SLOTS: ReducedMeb shared-pool size K (S = %zu, 3 stages)\n\n", threads);
   std::printf("| K | slots | survivor rate | uniform rate | area (LE, W=64) |\n");
   std::printf("|---|-------|---------------|--------------|-----------------|\n");
   std::vector<double> corner;

@@ -30,7 +30,8 @@ double run_inelastic(sim::Timeline& tl, int cycles) {
   int produced = 0;
   for (int c = 0; c < cycles; ++c) {
     if (c % worst == static_cast<int>(worst) - 1) {
-      tl.put("inelastic out", c, "A" + std::to_string(produced));
+      const std::string count = std::to_string(produced);
+      tl.put("inelastic out", c, "A" + count);
       ++produced;
     }
   }
@@ -53,7 +54,9 @@ double run_elastic(sim::Timeline& tl, int cycles) {
   e.source("src").set_generator([](std::uint64_t i) { return i; });
   auto& out = e.channel("eb");
   e.simulator().on_cycle([&](sim::Cycle c) {
-    if (out.fired()) tl.put("elastic out", c, "A" + std::to_string(out.data.get()));
+    if (!out.fired()) return;
+    const std::string value = std::to_string(out.data.get());
+    tl.put("elastic out", c, "A" + value);
   });
   e.simulator().reset();
   e.simulator().run(cycles);
@@ -78,8 +81,8 @@ double run_mt_elastic(sim::Timeline& tl, int cycles) {
   e.simulator().on_cycle([&](sim::Cycle c) {
     const std::size_t t = out.fired_thread();
     if (t < 2) {
-      const auto v = out.data.get();
-      tl.put("mt-elastic out", c, (t == 0 ? "A" : "B") + std::to_string(v % 1000));
+      const std::string value = std::to_string(out.data.get() % 1000);
+      tl.put("mt-elastic out", c, (t == 0 ? "A" : "B") + value);
     }
   });
   e.simulator().reset();

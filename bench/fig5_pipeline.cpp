@@ -22,7 +22,8 @@ using Token = netlist::Word;
 
 std::string label(Token v) {
   const char thread = v >= 1000 ? 'B' : 'A';
-  return std::string(1, thread) + std::to_string(v % 1000);
+  const std::string value = std::to_string(v % 1000);
+  return thread + value;
 }
 
 struct Result {
@@ -70,14 +71,14 @@ Result run(mt::MebKind kind, bool print) {
         if (m.full() != nullptr) {
           const auto occ = m.full()->occupancy(t);
           if (occ >= 1) cell = label(m.full()->head(t));
-          if (occ == 2) cell += "," + label(m.full()->aux(t));
+          if (occ == 2) cell.append(",").append(label(m.full()->aux(t)));
         } else {
           if (m.reduced()->occupancy(t) >= 1) cell = label(m.reduced()->main_slot(t));
         }
         if (!cell.empty()) tl.put(prefix + "[" + (t == 0 ? "A" : "B") + "]", c, cell);
       }
       if (m.reduced() != nullptr && m.reduced()->shared_full()) {
-        tl.put(prefix + "[sh]", c, label(m.reduced()->shared_slot()));
+        tl.put(prefix + "[sh]", c, label(m.reduced()->shared_slot(0)));
       }
     };
     slots(meb0, "MEB0");

@@ -22,7 +22,7 @@
 //   MTE030      structural deadlock: a feedback loop through a lazy
 //               join can never fire (no initial tokens exist)
 //   MTE031      reconvergent fork/join path-slack imbalance
-//   MTE040-044  capacity/rate sanity: zero threads, hybrid pool K vs S,
+//   MTE040-044  capacity/rate sanity: zero threads, reduced-MEB pool K vs S,
 //               K = 0 throughput cap, S = 1 design point, rate-0 ends
 //   MTE050-054  static performance (opt-in via AnalysisOptions::perf):
 //               aggregate/per-sink throughput bounds from the minimum
@@ -63,9 +63,9 @@ struct AnalysisOptions {
   /// the oblivious TDM arbiter has none of that coupling.
   mt::ArbiterKind arbiter = mt::ArbiterKind::kRoundRobin;
 
-  /// Hybrid MEB shared-pool size K (ElaborationOptions::meb_shared_slots).
+  /// Reduced-MEB shared-pool size K (ElaborationOptions::meb_shared_slots).
   /// Enables the MTE041/042 pool-capacity checks when set.
-  std::optional<std::size_t> meb_shared_slots;
+  std::optional<std::size_t> meb_shared_slots{};
 
   /// Runs the static performance pass (analysis/perf.hpp) and emits the
   /// MTE050-054 diagnostics. Off by default: the cycle-ratio solve costs

@@ -1,10 +1,11 @@
 #include "analysis/diagnostic.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 #include <sstream>
 #include <tuple>
+
+#include "obs/json_escape.hpp"
 
 namespace mte::analysis {
 
@@ -61,29 +62,6 @@ std::string AnalysisReport::render_text() const {
   return os.str();
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 namespace {
 
 /// SARIF level for a severity; the repo's names happen to coincide with
@@ -121,8 +99,8 @@ std::string render_sarif(
   for (const auto& code : codes) {
     os << (first ? "\n" : ",\n");
     first = false;
-    os << "            {\"id\": \"" << json_escape(code)
-       << "\", \"shortDescription\": {\"text\": \"" << json_escape(code)
+    os << "            {\"id\": \"" << obs::json_escape(code)
+       << "\", \"shortDescription\": {\"text\": \"" << obs::json_escape(code)
        << " (see the MTE code table in README.md)\"}}";
   }
   if (!codes.empty()) os << "\n          ";
@@ -140,15 +118,15 @@ std::string render_sarif(
       os << (first ? "\n" : ",\n");
       first = false;
       os << "        {\n";
-      os << "          \"ruleId\": \"" << json_escape(d.code) << "\",\n";
+      os << "          \"ruleId\": \"" << obs::json_escape(d.code) << "\",\n";
       os << "          \"level\": \"" << sarif_level(d.severity) << "\",\n";
-      os << "          \"message\": {\"text\": \"" << json_escape(text) << "\"},\n";
+      os << "          \"message\": {\"text\": \"" << obs::json_escape(text) << "\"},\n";
       os << "          \"locations\": [\n";
       os << "            {\n";
       os << "              \"logicalLocations\": [\n";
       os << "                {\"name\": \""
-         << json_escape(d.component.empty() ? name : d.component)
-         << "\", \"fullyQualifiedName\": \"" << json_escape(fqn)
+         << obs::json_escape(d.component.empty() ? name : d.component)
+         << "\", \"fullyQualifiedName\": \"" << obs::json_escape(fqn)
          << "\", \"kind\": \"element\"}\n";
       os << "              ]\n";
       os << "            }\n";
@@ -176,12 +154,12 @@ std::string AnalysisReport::render_json() const {
     const Diagnostic& d = diagnostics_[i];
     os << (i == 0 ? "\n" : ",\n");
     os << "    {\n";
-    os << "      \"code\": \"" << json_escape(d.code) << "\",\n";
+    os << "      \"code\": \"" << obs::json_escape(d.code) << "\",\n";
     os << "      \"severity\": \"" << to_string(d.severity) << "\",\n";
-    os << "      \"component\": \"" << json_escape(d.component) << "\",\n";
-    os << "      \"port\": \"" << json_escape(d.port) << "\",\n";
-    os << "      \"message\": \"" << json_escape(d.message) << "\",\n";
-    os << "      \"hint\": \"" << json_escape(d.hint) << "\"\n";
+    os << "      \"component\": \"" << obs::json_escape(d.component) << "\",\n";
+    os << "      \"port\": \"" << obs::json_escape(d.port) << "\",\n";
+    os << "      \"message\": \"" << obs::json_escape(d.message) << "\",\n";
+    os << "      \"hint\": \"" << obs::json_escape(d.hint) << "\"\n";
     os << "    }";
   }
   if (!diagnostics_.empty()) os << "\n  ";

@@ -13,7 +13,7 @@
 //   MTE02x  combinational valid/ready cycles (static form of what the
 //           event kernel discovers via Tarjan-SCC and demotion)
 //   MTE03x  structural deadlock / token-imbalance stalls
-//   MTE04x  arbiter & capacity sanity (threads, hybrid MEB pool, rates)
+//   MTE04x  arbiter & capacity sanity (threads, reduced-MEB pool, rates)
 #pragma once
 
 #include <cstddef>
@@ -84,10 +84,6 @@ class AnalysisReport {
  private:
   std::vector<Diagnostic> diagnostics_;  // kept sorted by diagnostic_order
 };
-
-/// JSON string escaping shared by the report renderer and mte_lint's
-/// multi-file wrapper object.
-[[nodiscard]] std::string json_escape(const std::string& s);
 
 /// SARIF 2.1.0 rendering of a batch of named reports as one run: stable
 /// rule ids are the MTE codes (collected, deduplicated and sorted into

@@ -61,7 +61,7 @@ std::size_t capacity_of(const Node& n, const Netlist& net, const PerfOptions& op
   const std::size_t s = net.is_multithreaded() ? net.threads() : 1;
   if (n.type == NodeType::kVarLatency) return net.is_multithreaded() ? s : 1;
   if (!net.is_multithreaded()) return 2;  // the 2-slot EB
-  if (opt.meb_shared_slots) return s + *opt.meb_shared_slots;  // hybrid MEB
+  if (opt.meb_shared_slots) return s + *opt.meb_shared_slots;  // reduced, K slots
   return net.meb_kind() == mt::MebKind::kReduced ? s + 1 : 2 * s;
 }
 
@@ -619,9 +619,9 @@ PerfReport analyze_perf(const Netlist& net, const PerfOptions& options) {
   const std::vector<std::size_t> comp = weak_components(model.graph);
   const std::vector<std::size_t> fill = fill_latency(net);
 
-  // Aggregate MEB service cap: the hybrid MEB caps each thread's
-  // sustained rate at (1+K)/2, so S threads together move at most
-  // S*(1+K)/2 tokens per cycle through any MEB station.
+  // Aggregate MEB service cap: a reduced MEB with a pool of K slots caps
+  // each thread's sustained rate at (1+K)/2, so S threads together move
+  // at most S*(1+K)/2 tokens per cycle through any MEB station.
   const std::size_t s = net.is_multithreaded() ? net.threads() : 1;
   std::optional<std::pair<std::size_t, std::size_t>> service_cap;  // (T, H)
   if (net.is_multithreaded() && options.meb_shared_slots) {

@@ -20,7 +20,8 @@
 //   - backward c -> u (delay 1, tokens = capacity(u)): u can accept its
 //     n-th token only after its (n - cap)-th left, i.e. after every
 //     downstream consumer accepted it. EB capacity 2; MEB capacity 2S
-//     (full), S+1 (reduced) or S+K (hybrid); var-latency 1 (S shared).
+//     (full) or S+K (reduced with a pool of K shared slots, K = 1 unless
+//     meb_shared_slots is set); var-latency 1 (S shared).
 //   - cross-consumer c_j -> c_i (delay 1, tokens = S): the eager fork
 //     keeps only the head token on its outputs, so arm i sees token k+1
 //     no earlier than one cycle after every peer arm consumed token k.
@@ -51,7 +52,7 @@ struct PerfOptions {
   /// TDM arbiter caps every thread at 1/S of the channel rate.
   mt::ArbiterKind arbiter = mt::ArbiterKind::kRoundRobin;
 
-  /// Hybrid MEB shared-pool size K (ElaborationOptions::meb_shared_slots).
+  /// Reduced-MEB shared-pool size K (ElaborationOptions::meb_shared_slots).
   /// When set, MEB capacity is S+K and each thread's sustained rate is
   /// capped at (1+K)/2 (a lone thread waits out the handshake round trip
   /// between its private slot and the pool).

@@ -159,10 +159,10 @@ class CostModel {
                                       : reduced_meb(name, bits, threads);
   }
 
-  /// Hybrid MEB (the capacity ablation of Sec. III-A): one main register
-  /// per thread plus a pool of K dynamically shared slots. K = 1 matches
-  /// the reduced MEB; K = S approaches the full MEB's storage with
-  /// shared-pool wiring.
+  /// Reduced MEB with a pool of K shared slots (the DSE's `hybrid`
+  /// variant, the capacity ablation of Sec. III-A): one main register per
+  /// thread plus K dynamically shared slots. K = 1 matches reduced_meb();
+  /// K = S approaches the full MEB's storage with shared-pool wiring.
   [[nodiscard]] AreaItem hybrid_meb(const std::string& name, unsigned bits,
                                     unsigned threads, unsigned shared_slots) const {
     AreaItem a{name, 0, 2 + std::log2(std::max(2u, threads))};

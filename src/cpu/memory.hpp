@@ -37,12 +37,16 @@ class DataMemory {
   void load(sim::SnapshotReader& r) { sim::snapshot_read_span(r, words_); }
 
  private:
+  // The guard stays inline and the throw is [[noreturn]], so the compiler
+  // sees that an access past the end never happens.
   void check(std::uint32_t addr) const {
-    if (addr >= words_.size()) {
-      throw sim::SimulationError("data memory access out of range: " +
-                                 std::to_string(addr) + " >= " +
-                                 std::to_string(words_.size()));
-    }
+    if (addr >= words_.size()) out_of_range(addr);
+  }
+
+  [[noreturn]] void out_of_range(std::uint32_t addr) const {
+    throw sim::SimulationError("data memory access out of range: " +
+                               std::to_string(addr) + " >= " +
+                               std::to_string(words_.size()));
   }
 
   std::vector<std::uint32_t> words_;

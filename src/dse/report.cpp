@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "obs/json_escape.hpp"
+
 namespace mte::dse {
 
 namespace {
@@ -13,29 +15,6 @@ std::string fmt(const char* format, double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), format, v);
   return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 const char* kernel_name(sim::KernelKind k) {
@@ -190,7 +169,7 @@ std::string Report::to_json() const {
   for (std::size_t i = 0; i < records_.size(); ++i) {
     const PointRecord& r = records_[i];
     os << "    {\"index\": " << r.point.index << ", \"workload\": \""
-       << json_escape(r.point.workload) << "\", \"variant\": \""
+       << obs::json_escape(r.point.workload) << "\", \"variant\": \""
        << to_string(r.point.variant) << "\", \"threads\": " << r.point.threads
        << ", \"shared_slots\": " << r.point.shared_slots
        << ", \"capacity_slots\": " << r.point.capacity_slots()
@@ -204,8 +183,8 @@ std::string Report::to_json() const {
        << fmt("%.6f", r.throughput_per_kle()) << ", \"static_bound\": "
        << (r.static_bound >= 0 ? fmt("%.6f", r.static_bound) : std::string{"null"})
        << ", \"pareto\": " << (is_pareto(r.point.index) ? "true" : "false")
-       << ", \"failure_kind\": \"" << json_escape(r.failure_kind)
-       << "\", \"error\": \"" << json_escape(r.error) << "\"}"
+       << ", \"failure_kind\": \"" << obs::json_escape(r.failure_kind)
+       << "\", \"error\": \"" << obs::json_escape(r.error) << "\"}"
        << (i + 1 < records_.size() ? "," : "") << '\n';
   }
   os << "  ],\n";

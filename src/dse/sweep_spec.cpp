@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "dse/workloads.hpp"
+#include "sim/rng.hpp"
 
 namespace mte::dse {
 
@@ -30,10 +31,7 @@ std::string SweepPoint::label() const {
 
 std::uint64_t point_seed(std::uint64_t campaign_seed, std::size_t point_index) {
   // splitmix64 over the combined value: decorrelates neighbouring points.
-  std::uint64_t z = campaign_seed + 0x9E3779B97F4A7C15ULL * (point_index + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return sim::splitmix64_mix(campaign_seed + sim::kSplitMix64Gamma * (point_index + 1));
 }
 
 std::vector<SweepPoint> SweepSpec::enumerate(const WorkloadSet& set) const {

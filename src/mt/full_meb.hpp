@@ -43,7 +43,6 @@ class FullMeb : public sim::TwoPhaseComponent<FullMeb<T>> {
         arb_(arbiter ? std::move(arbiter)
                      : std::make_unique<RoundRobinArbiter>(in.threads())),
         ctrl_(in.threads()), head_(in.threads()), aux_(in.threads()),
-        in_count_(in.threads(), 0), out_count_(in.threads(), 0),
         pending_(in.threads()), ready_down_(in.threads()) {
     if (in.threads() != out.threads()) {
       throw sim::SimulationError("FullMeb '" + this->name() +
@@ -57,8 +56,6 @@ class FullMeb : public sim::TwoPhaseComponent<FullMeb<T>> {
     for (auto& a : aux_) a = T{};
     arb_->reset();
     grant_ = threads();
-    std::fill(in_count_.begin(), in_count_.end(), 0);
-    std::fill(out_count_.begin(), out_count_.end(), 0);
   }
 
   void tick() override {
@@ -87,8 +84,6 @@ class FullMeb : public sim::TwoPhaseComponent<FullMeb<T>> {
       ctrl_[i].commit(d);
       if (ctrl_[i].can_accept() != could_accept) touched |= sim::kBackwardBit;
       fired_any = fired_any || d.in_fire || d.out_fire;
-      if (d.in_fire) ++in_count_[i];
-      if (d.out_fire) ++out_count_[i];
     };
     if (in_thread < n) commit_thread(in_thread);
     if (grant_ < n && grant_ != in_thread) commit_thread(grant_);
@@ -121,8 +116,6 @@ class FullMeb : public sim::TwoPhaseComponent<FullMeb<T>> {
   }
   [[nodiscard]] const T& head(std::size_t i) const { return head_.at(i); }
   [[nodiscard]] const T& aux(std::size_t i) const { return aux_.at(i); }
-  [[nodiscard]] std::uint64_t in_count(std::size_t i) const { return in_count_.at(i); }
-  [[nodiscard]] std::uint64_t out_count(std::size_t i) const { return out_count_.at(i); }
   /// Storage slots instantiated by this buffer (2 per thread).
   [[nodiscard]] std::size_t capacity() const noexcept { return 2 * threads(); }
 
@@ -133,8 +126,6 @@ class FullMeb : public sim::TwoPhaseComponent<FullMeb<T>> {
     sim::snapshot_write_span(w, head_);
     sim::snapshot_write_span(w, aux_);
     arb_->save_state(w);
-    sim::snapshot_write_span(w, in_count_);
-    sim::snapshot_write_span(w, out_count_);
   }
 
   void load_state(sim::SnapshotReader& r) override {
@@ -142,8 +133,6 @@ class FullMeb : public sim::TwoPhaseComponent<FullMeb<T>> {
     sim::snapshot_read_span(r, head_);
     sim::snapshot_read_span(r, aux_);
     arb_->load_state(r);
-    sim::snapshot_read_span(r, in_count_);
-    sim::snapshot_read_span(r, out_count_);
   }
 
  protected:
@@ -173,8 +162,6 @@ class FullMeb : public sim::TwoPhaseComponent<FullMeb<T>> {
   std::vector<T> head_;
   std::vector<T> aux_;
   std::size_t grant_ = 0;
-  std::vector<std::uint64_t> in_count_;
-  std::vector<std::uint64_t> out_count_;
   // Arbitration scratch, sized once at construction: eval() runs per settle
   // iteration and must not allocate.
   ThreadMask pending_;

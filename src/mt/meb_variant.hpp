@@ -1,16 +1,16 @@
-// MebKind / AnyMeb: select between the full, reduced and hybrid
-// multithreaded elastic buffers at construction time. Circuits that
+// MebKind / AnyMeb: select between the full and the reduced
+// multithreaded elastic buffer at construction time. Circuits that
 // compare the designs (MD5, processor, benchmarks, the DSE engine) build
-// their pipeline stages through this helper.
+// their pipeline stages through this helper; the reduced MEB's pool size
+// K is the DSE engine's capacity axis.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <utility>
 
 #include "mt/full_meb.hpp"
-#include "mt/hybrid_meb.hpp"
 #include "mt/reduced_meb.hpp"
 
 namespace mte::mt {
@@ -21,84 +21,41 @@ enum class MebKind { kFull, kReduced };
   return kind == MebKind::kFull ? "full" : "reduced";
 }
 
-/// Non-owning handle to a full, reduced or hybrid MEB created inside a
-/// Simulator.
+/// Non-owning handle to a full or reduced MEB created inside a Simulator.
 template <typename T>
 class AnyMeb {
  public:
+  /// A full MEB (2S private slots), or a reduced MEB with S main registers
+  /// and a pool of `shared_slots` shared ones (K = 1 is the paper's
+  /// design; a full MEB ignores it).
   static AnyMeb create(sim::Simulator& s, const std::string& name,
                        MtChannel<T>& in, MtChannel<T>& out, MebKind kind,
-                       std::unique_ptr<Arbiter> arbiter = nullptr) {
+                       std::unique_ptr<Arbiter> arbiter = nullptr,
+                       std::size_t shared_slots = 1) {
     AnyMeb m;
     if (kind == MebKind::kFull) {
       m.full_ = &s.make<FullMeb<T>>(s, name, in, out, std::move(arbiter));
     } else {
-      m.reduced_ = &s.make<ReducedMeb<T>>(s, name, in, out, std::move(arbiter));
+      m.reduced_ =
+          &s.make<ReducedMeb<T>>(s, name, in, out, std::move(arbiter), shared_slots);
     }
     return m;
   }
 
-  /// The generalized shared-pool buffer (S main registers + K shared
-  /// slots): the capacity axis of the DSE engine.
-  static AnyMeb create_hybrid(sim::Simulator& s, const std::string& name,
-                              MtChannel<T>& in, MtChannel<T>& out,
-                              std::size_t shared_slots,
-                              std::unique_ptr<Arbiter> arbiter = nullptr) {
-    AnyMeb m;
-    m.hybrid_ =
-        &s.make<HybridMeb<T>>(s, name, in, out, shared_slots, std::move(arbiter));
-    return m;
-  }
-
-  [[nodiscard]] bool is_hybrid() const noexcept { return hybrid_ != nullptr; }
-
-  /// Full or reduced flavour; only meaningful when !is_hybrid().
   [[nodiscard]] MebKind kind() const noexcept {
     return full_ != nullptr ? MebKind::kFull : MebKind::kReduced;
   }
 
-  /// "full", "reduced" or "hybrid".
-  [[nodiscard]] const char* variant_name() const noexcept {
-    if (hybrid_ != nullptr) return "hybrid";
-    return to_string(kind());
-  }
-
-  [[nodiscard]] std::size_t capacity() const {
-    if (hybrid_ != nullptr) return hybrid_->capacity();
-    return full_ != nullptr ? full_->capacity() : reduced_->capacity();
-  }
-
-  [[nodiscard]] int occupancy(std::size_t thread) const {
-    if (hybrid_ != nullptr) {
-      int occ = hybrid_->state(thread) != elastic::EbState::kEmpty ? 1 : 0;
-      if (hybrid_->state(thread) == elastic::EbState::kFull) occ = 2;
-      return occ;
-    }
-    return full_ != nullptr ? full_->occupancy(thread) : reduced_->occupancy(thread);
-  }
-
   [[nodiscard]] int total_occupancy() const {
-    if (hybrid_ != nullptr) {
-      int total = 0;
-      for (std::size_t t = 0; t < hybrid_->threads(); ++t) total += occupancy(t);
-      return total;
-    }
     return full_ != nullptr ? full_->total_occupancy() : reduced_->total_occupancy();
-  }
-
-  [[nodiscard]] std::uint64_t out_count(std::size_t thread) const {
-    if (hybrid_ != nullptr) return hybrid_->out_count(thread);
-    return full_ != nullptr ? full_->out_count(thread) : reduced_->out_count(thread);
   }
 
   [[nodiscard]] FullMeb<T>* full() const noexcept { return full_; }
   [[nodiscard]] ReducedMeb<T>* reduced() const noexcept { return reduced_; }
-  [[nodiscard]] HybridMeb<T>* hybrid() const noexcept { return hybrid_; }
 
  private:
   FullMeb<T>* full_ = nullptr;
   ReducedMeb<T>* reduced_ = nullptr;
-  HybridMeb<T>* hybrid_ = nullptr;
 };
 
 }  // namespace mte::mt

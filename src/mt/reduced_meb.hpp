@@ -1,12 +1,17 @@
 // ReducedMeb<T>: the paper's proposed low-cost multithreaded elastic
-// buffer (Sec. III-A / IV-A, Fig. 6).
+// buffer (Sec. III-A / IV-A, Fig. 6), with the shared pool's size K as a
+// parameter.
 //
-// S+1 storage slots for S threads: each thread owns one main register and
-// all threads dynamically share a single auxiliary register. Under uniform
-// utilization every thread gets its 1/M share of the channel exactly as
-// with the full MEB; the only divergence is the characterized corner case
-// (Fig. 5b) where all threads but one are blocked all the way back to the
-// source, capping the surviving thread at 50 % throughput.
+// S+K storage slots for S threads: each thread owns one main register and
+// all threads dynamically share a pool of K auxiliary registers (see
+// ReducedMebControl). K = 1, the default, is the paper's design: under
+// uniform utilization every thread gets its 1/M share of the channel
+// exactly as with the full MEB; the only divergence is the characterized
+// corner case (Fig. 5b) where all threads but one are blocked all the way
+// back to the source, capping the surviving thread at 50 % throughput.
+// Other K values are the capacity axis of the DSE engine and the
+// ABL-SLOTS ablation: K = 0 caps every thread at 50 % even alone, and
+// K = S gives every thread two words, like the full MEB.
 //
 // Two-phase component (see FullMeb): forward = arbitration + output
 // valids/data, backward = per-thread input readys from control state.
@@ -35,13 +40,12 @@ class ReducedMeb : public sim::TwoPhaseComponent<ReducedMeb<T>> {
     return "ReducedMeb";
   }
   ReducedMeb(sim::Simulator& s, std::string name, MtChannel<T>& in, MtChannel<T>& out,
-             std::unique_ptr<Arbiter> arbiter = nullptr)
+             std::unique_ptr<Arbiter> arbiter = nullptr, std::size_t shared_slots = 1)
       : sim::TwoPhaseComponent<ReducedMeb<T>>(s, std::move(name)), in_(in), out_(out),
         arb_(arbiter ? std::move(arbiter)
                      : std::make_unique<RoundRobinArbiter>(in.threads())),
-        ctrl_(in.threads()), main_(in.threads()),
-        in_count_(in.threads(), 0), out_count_(in.threads(), 0),
-        pending_(in.threads()), ready_down_(in.threads()) {
+        ctrl_(in.threads(), shared_slots), main_(in.threads()),
+        shared_(ctrl_.shared_words()), pending_(in.threads()), ready_down_(in.threads()) {
     if (in.threads() != out.threads()) {
       throw sim::SimulationError("ReducedMeb '" + this->name() +
                                  "': input/output thread counts differ");
@@ -51,11 +55,9 @@ class ReducedMeb : public sim::TwoPhaseComponent<ReducedMeb<T>> {
   void reset() override {
     ctrl_.reset();
     for (auto& m : main_) m = T{};
-    shared_ = T{};
+    for (auto& w : shared_) w = T{};
     arb_->reset();
     grant_ = threads();
-    std::fill(in_count_.begin(), in_count_.end(), 0);
-    std::fill(out_count_.begin(), out_count_.end(), 0);
   }
 
   void tick() override {
@@ -69,24 +71,24 @@ class ReducedMeb : public sim::TwoPhaseComponent<ReducedMeb<T>> {
     // Reseed decision: the forward process always (arbitration inputs /
     // pointer may change); the backward process only when some thread's
     // ready_out actually changed — which can only happen through the two
-    // committed threads' FSMs or the shared-slot flag (a shared-flag flip
+    // committed threads' FSMs or the pool's occupancy (a change there
     // moves every HALF thread's ready at once).
-    const bool shared_before = ctrl_.shared_full();
+    const std::size_t shared_before = ctrl_.shared_used();
     const bool rin_before = in_thread < n && ctrl_.ready_out(in_thread);
     const bool rout_before = out_thread < n && ctrl_.ready_out(out_thread);
 
     const T data_in = in_.data.get();
     const ReducedMebOps ops = ctrl_.commit(in_thread, out_thread);
-    // Refill before store: when the shared slot is freed and claimed in
-    // the same cycle the refilled word must be the old one. (ready_out()
+    // Refill before store: when a shared slot is freed and claimed in the
+    // same cycle the refilled word must be the old one. (ready_out()
     // actually forbids that overlap, but the ordering keeps the datapath
     // correct under any control change.)
-    if (ops.refill_main) main_[ops.out_thread] = shared_;
+    if (ops.refill_main) main_[ops.out_thread] = shared_[ops.out_slot];
     if (ops.store_main) main_[ops.in_thread] = data_in;
-    if (ops.store_shared) shared_ = data_in;
+    if (ops.store_shared) shared_[ops.in_slot] = data_in;
 
     std::uint32_t touched = sim::kForwardBit;
-    if (ctrl_.shared_full() != shared_before ||
+    if (ctrl_.shared_used() != shared_before ||
         (in_thread < n && ctrl_.ready_out(in_thread) != rin_before) ||
         (out_thread < n && ctrl_.ready_out(out_thread) != rout_before)) {
       touched |= sim::kBackwardBit;
@@ -94,9 +96,6 @@ class ReducedMeb : public sim::TwoPhaseComponent<ReducedMeb<T>> {
     this->set_tick_touched(touched);
     this->set_tick_idle_hint(!in_fired && !out_fired &&
                        arb_->update_is_noop(grant_, out_fired));
-
-    if (in_fired) ++in_count_[in_thread];
-    if (out_fired) ++out_count_[out_thread];
     arb_->update(grant_, out_fired);
   }
 
@@ -118,33 +117,30 @@ class ReducedMeb : public sim::TwoPhaseComponent<ReducedMeb<T>> {
   [[nodiscard]] elastic::EbState state(std::size_t i) const { return ctrl_.state(i); }
   [[nodiscard]] int occupancy(std::size_t i) const { return ctrl_.occupancy(i); }
   [[nodiscard]] int total_occupancy() const { return ctrl_.total_occupancy(); }
+  [[nodiscard]] std::size_t shared_slots() const noexcept { return ctrl_.shared_slots(); }
+  [[nodiscard]] std::size_t shared_used() const noexcept { return ctrl_.shared_used(); }
   [[nodiscard]] bool shared_full() const noexcept { return ctrl_.shared_full(); }
-  [[nodiscard]] std::size_t shared_owner() const noexcept { return ctrl_.shared_owner(); }
+  [[nodiscard]] std::size_t shared_owner(std::size_t k) const { return ctrl_.shared_owner(k); }
   [[nodiscard]] const T& main_slot(std::size_t i) const { return main_.at(i); }
-  [[nodiscard]] const T& shared_slot() const noexcept { return shared_; }
-  [[nodiscard]] std::uint64_t in_count(std::size_t i) const { return in_count_.at(i); }
-  [[nodiscard]] std::uint64_t out_count(std::size_t i) const { return out_count_.at(i); }
-  /// Storage slots instantiated by this buffer (S main + 1 shared).
-  [[nodiscard]] std::size_t capacity() const noexcept { return threads() + 1; }
+  [[nodiscard]] const T& shared_slot(std::size_t k) const { return shared_.at(k); }
+  /// Storage slots of this buffer (S main + K shared), of which at most
+  /// S + min(K, S) can ever hold a word.
+  [[nodiscard]] std::size_t capacity() const noexcept { return threads() + shared_slots(); }
 
   void save_state(sim::SnapshotWriter& w) const override {
     // grant_ and the pending/ready masks are settle-phase scratch,
     // recomputed by the full evaluation a restore schedules.
     ctrl_.save(w);
     sim::snapshot_write_span(w, main_);
-    sim::snapshot_write_value(w, shared_);
+    sim::snapshot_write_span(w, shared_);
     arb_->save_state(w);
-    sim::snapshot_write_span(w, in_count_);
-    sim::snapshot_write_span(w, out_count_);
   }
 
   void load_state(sim::SnapshotReader& r) override {
     ctrl_.load(r);
     sim::snapshot_read_span(r, main_);
-    shared_ = sim::snapshot_read_value<T>(r);
+    sim::snapshot_read_span(r, shared_);
     arb_->load_state(r);
-    sim::snapshot_read_span(r, in_count_);
-    sim::snapshot_read_span(r, out_count_);
   }
 
  protected:
@@ -157,7 +153,7 @@ class ReducedMeb : public sim::TwoPhaseComponent<ReducedMeb<T>> {
     grant_ = arb_->grant(pending_, ready_down_);
     for (std::size_t i = 0; i < n; ++i) out_.valid(i).set(i == grant_);
     // Output data always comes from the granted thread's main register;
-    // the shared slot only ever refills a main register.
+    // a shared slot only ever refills a main register.
     out_.data.set(grant_ < n ? main_[grant_] : T{});
   }
 
@@ -174,10 +170,8 @@ class ReducedMeb : public sim::TwoPhaseComponent<ReducedMeb<T>> {
   std::unique_ptr<Arbiter> arb_;
   ReducedMebControl ctrl_;
   std::vector<T> main_;
-  T shared_{};
+  std::vector<T> shared_;  ///< min(K, S) words, indexed by the control's slots
   std::size_t grant_ = 0;
-  std::vector<std::uint64_t> in_count_;
-  std::vector<std::uint64_t> out_count_;
   // Arbitration scratch, sized once at construction: eval() runs per settle
   // iteration and must not allocate.
   ThreadMask pending_;

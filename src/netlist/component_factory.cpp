@@ -129,18 +129,15 @@ ComponentFactory ComponentFactory::with_defaults() {
   });
   f.register_mt(NodeType::kBuffer, [](const MtContext& ctx) {
     const ElaborationOptions& opt = ctx.elab.options();
-    auto arbiter = mt::make_arbiter(opt.arbiter, ctx.threads());
-    if (opt.meb_shared_slots.has_value()) {
-      ctx.elab.expose_meb(ctx.node.name, mt::AnyMeb<Word>::create_hybrid(
-                                             ctx.sim, ctx.node.name, ctx.in(0),
-                                             ctx.out(0), *opt.meb_shared_slots,
-                                             std::move(arbiter)));
-    } else {
-      ctx.elab.expose_meb(ctx.node.name, mt::AnyMeb<Word>::create(
-                                             ctx.sim, ctx.node.name, ctx.in(0),
-                                             ctx.out(0), ctx.meb_kind(),
-                                             std::move(arbiter)));
-    }
+    // A pool size overrides the netlist's MEB kind: every buffer becomes
+    // a reduced MEB with that many shared slots.
+    const mt::MebKind kind =
+        opt.meb_shared_slots.has_value() ? mt::MebKind::kReduced : ctx.meb_kind();
+    ctx.elab.expose_meb(ctx.node.name,
+                        mt::AnyMeb<Word>::create(
+                            ctx.sim, ctx.node.name, ctx.in(0), ctx.out(0), kind,
+                            mt::make_arbiter(opt.arbiter, ctx.threads()),
+                            opt.meb_shared_slots.value_or(1)));
   });
   f.register_mt(NodeType::kFork, [](const MtContext& ctx) {
     std::vector<mt::MtChannel<Word>*> outs;

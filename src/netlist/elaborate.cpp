@@ -94,12 +94,11 @@ Elaboration::Elaboration(const Netlist& netlist, const FunctionRegistry& registr
       // MT valid is never persistent: every MEB/MtSource drives it
       // through a rotating arbiter, so a stalled thread's valid legally
       // drops when the grant moves on. Per-thread ready persists only at
-      // full-MEB inputs (private slots per thread); reduced/hybrid MEBs
-      // share slots, so a peer thread's accept retracts this thread's
-      // ready without a transfer.
+      // full-MEB inputs (private slots per thread); reduced MEBs share
+      // slots, so a peer thread's accept retracts this thread's ready
+      // without a transfer.
       const auto meb = mebs_.find(to.name);
       row.persistent_ready = to.type == NodeType::kBuffer && meb != mebs_.end() &&
-                             !meb->second.is_hybrid() &&
                              meb->second.kind() == mt::MebKind::kFull;
     } else {
       // ST elastic-buffer outputs hold valid until the pop (occupancy

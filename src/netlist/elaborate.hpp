@@ -84,9 +84,10 @@ struct ElaborationOptions {
   mt::ArbiterKind arbiter = mt::ArbiterKind::kRoundRobin;
 
   /// When set, every buffer node of a multithreaded netlist elaborates to
-  /// a HybridMeb with this many dynamically shared slots (S main + K
+  /// a reduced MEB with this many dynamically shared slots (S main + K
   /// shared) instead of the netlist's full/reduced MEB kind — the
-  /// per-stage buffer-capacity axis of the DSE engine.
+  /// per-stage buffer-capacity axis of the DSE engine. Unset, a reduced
+  /// MEB has the paper's single shared slot (K = 1).
   std::optional<std::size_t> meb_shared_slots;
 };
 
@@ -106,7 +107,7 @@ class Elaboration {
   [[nodiscard]] bool is_multithreaded() const noexcept { return multithreaded_; }
 
   /// The options this design was elaborated with; node builders consult
-  /// them (arbiter policy, hybrid-MEB capacity override).
+  /// them (arbiter policy, reduced-MEB pool size override).
   [[nodiscard]] const ElaborationOptions& options() const noexcept { return options_; }
 
   // Single-thread boundary handles (!is_multithreaded()).

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "obs/json_escape.hpp"
+
 namespace mte::obs {
 namespace {
 
@@ -21,25 +23,6 @@ std::string format_counter(std::uint64_t v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
   return buf;
-}
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace

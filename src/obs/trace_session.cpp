@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "obs/json_escape.hpp"
+
 namespace mte::obs {
 namespace {
 
@@ -12,25 +14,6 @@ namespace {
 // that Perfetto renders per-cycle structure without zooming to nothing.
 constexpr std::uint64_t kUsPerCycle = 1000;
 constexpr std::uint64_t kSettleUs = 600;
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 }  // namespace
 

@@ -2,20 +2,9 @@
 
 #include <string>
 
+#include "sim/rng.hpp"
+
 namespace mte::sim {
-
-namespace {
-
-/// splitmix64: the same stateless mixer the DSE layer uses for per-point
-/// seeds — deterministic corrupt masks with no shared RNG stream.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* to_string(FaultKind kind) noexcept {
   switch (kind) {
@@ -63,7 +52,10 @@ bool FaultInjector::apply(Cycle now) {
         row.ready[t].set(false);
         break;
       case FaultKind::kCorruptData: {
-        const std::uint64_t mask = mix64(seed_ ^ mix64(now) ^ fi) | 1;
+        // A stateless splitmix64 draw keyed on (seed, cycle, fault): a
+        // deterministic mask with no shared RNG stream.
+        const std::uint64_t mask =
+            SplitMix64(seed_ ^ SplitMix64(now).next() ^ fi).next() | 1;
         row.data->set(row.data->get() ^ mask);
         break;
       }

@@ -23,7 +23,7 @@
 //   MTE103  ready retracted without a transfer — on persistent-ready
 //           channels (elastic-buffer and full-MEB inputs, whose
 //           can_accept drops only by accepting) ready may not fall
-//           spontaneously. Reduced/hybrid MEB inputs share slots across
+//           spontaneously. Reduced MEB inputs share slots across
 //           threads, so a peer thread's accept may retract this thread's
 //           ready — those channels are not persistent-ready.
 //   MTE104  multiple active threads — an MT channel may assert at most

@@ -12,16 +12,25 @@
 
 namespace mte::sim {
 
+/// SplitMix64's increment (2^64 / golden ratio).
+inline constexpr std::uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
+
+/// SplitMix64's output finalizer: a stateless bijective mix of one word.
+/// The generator below, the DSE per-point seeds and the fault injector's
+/// corrupt masks all mix through it.
+[[nodiscard]] constexpr std::uint64_t splitmix64_mix(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// SplitMix64: used to expand a single 64-bit seed into generator state.
 class SplitMix64 {
  public:
   explicit constexpr SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}
 
   constexpr std::uint64_t next() noexcept {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return splitmix64_mix(state_ += kSplitMix64Gamma);
   }
 
  private:

@@ -58,7 +58,9 @@ class SnapshotError : public SimulationError {
   using SimulationError::SimulationError;
 };
 
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// Version 2: MEBs no longer save per-thread transfer counters, and the
+/// reduced MEB saves its shared pool's owners.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 inline constexpr std::array<char, 8> kSnapshotMagic = {'M', 'T', 'E', 'S',
                                                        'N', 'A', 'P', '\n'};
 inline constexpr std::uint64_t kSnapshotEnd = 0x21444e4550414e53ULL;  // "SNAPEND!"

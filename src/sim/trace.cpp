@@ -1,7 +1,9 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
+#include <iomanip>
 #include <sstream>
+#include <string_view>
 
 namespace mte::sim {
 
@@ -44,14 +46,12 @@ std::string Timeline::render(Cycle first, Cycle last) const {
     os << padded << " |";
     const auto it = cells_.find(row);
     for (Cycle c = first; c <= last; ++c) {
-      std::string label;
+      std::string_view label = ".";
       if (it != cells_.end()) {
         const auto jt = it->second.find(c);
-        if (jt != it->second.end()) label = jt->second;
+        if (jt != it->second.end() && !jt->second.empty()) label = jt->second;
       }
-      if (label.empty()) label = ".";
-      if (label.size() < cell_w) label = std::string(cell_w - label.size(), ' ') + label;
-      os << ' ' << label;
+      os << ' ' << std::setw(static_cast<int>(cell_w)) << label;
     }
     os << '\n';
   }

@@ -56,7 +56,8 @@ Netlist diamond(unsigned buffers_a, unsigned buffers_b) {
   std::size_t tail = f;
   unsigned tail_port = 0;
   for (unsigned i = 0; i < buffers_a; ++i) {
-    const auto b = n.add(Node::buffer("a" + std::to_string(i)));
+    const std::string id = std::to_string(i);
+    const auto b = n.add(Node::buffer("a" + id));
     n.connect(tail, tail_port, b, 0);
     tail = b;
     tail_port = 0;
@@ -65,7 +66,8 @@ Netlist diamond(unsigned buffers_a, unsigned buffers_b) {
   tail = f;
   tail_port = 1;
   for (unsigned i = 0; i < buffers_b; ++i) {
-    const auto b = n.add(Node::buffer("b" + std::to_string(i)));
+    const std::string id = std::to_string(i);
+    const auto b = n.add(Node::buffer("b" + id));
     n.connect(tail, tail_port, b, 0);
     tail = b;
     tail_port = 0;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
+#include "obs/json_escape.hpp"
 
 namespace {
 
@@ -127,6 +128,7 @@ TEST(Diagnostics, RenderJsonStructureAndCounts) {
 }
 
 TEST(Diagnostics, JsonEscaping) {
+  using mte::obs::json_escape;
   EXPECT_EQ(json_escape("plain"), "plain");
   EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
   EXPECT_EQ(json_escape("a\\b"), "a\\\\b");

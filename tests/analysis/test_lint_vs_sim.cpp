@@ -152,7 +152,9 @@ TEST(LintVsSim, CleanFuzzNetlistsMakeProgressOnBothKernels) {
     EXPECT_GT(event.transfers, 0u) << "event kernel made no progress";
     // No statically-detected valid/ready coupling => the event kernel
     // must not have fallen back to naive settling.
-    if (!coupled) EXPECT_FALSE(event.demoted);
+    if (!coupled) {
+      EXPECT_FALSE(event.demoted);
+    }
   }
 }
 

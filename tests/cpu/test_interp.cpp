@@ -154,7 +154,7 @@ TEST(DataMemory, BoundsChecked) {
   DataMemory m(4);
   m.write(3, 7);
   EXPECT_EQ(m.read(3), 7u);
-  EXPECT_THROW(m.read(4), sim::SimulationError);
+  EXPECT_THROW((void)m.read(4), sim::SimulationError);
   EXPECT_THROW(m.write(4, 0), sim::SimulationError);
 }
 

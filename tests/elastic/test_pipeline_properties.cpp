@@ -73,10 +73,13 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(1.0, 0.7, 0.4),
                      testing::Values(1.0, 0.7, 0.4)),
     [](const testing::TestParamInfo<Params>& info) {
-      return "s" + std::to_string(std::get<0>(info.param)) + "_src" +
-             std::to_string(static_cast<int>(std::get<1>(info.param) * 100)) +
-             "_snk" +
-             std::to_string(static_cast<int>(std::get<2>(info.param) * 100));
+      std::string name = "s";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_src";
+      name += std::to_string(static_cast<int>(std::get<1>(info.param) * 100));
+      name += "_snk";
+      name += std::to_string(static_cast<int>(std::get<2>(info.param) * 100));
+      return name;
     });
 
 TEST(Pipeline, OccupancyNeverExceedsCapacity) {

@@ -153,11 +153,13 @@ TEST(Integration, DeepPipelineConservation) {
   sim::Simulator s;
   std::vector<MtChannel<Token>*> chans;
   for (std::size_t i = 0; i <= stages; ++i) {
-    chans.push_back(&s.make<MtChannel<Token>>(s, "c" + std::to_string(i), threads));
+    const std::string id = std::to_string(i);
+    chans.push_back(&s.make<MtChannel<Token>>(s, "c" + id, threads));
   }
   MtSource<Token> src(s, "src", *chans.front());
   for (std::size_t i = 0; i < stages; ++i) {
-    s.make<ReducedMeb<Token>>(s, "m" + std::to_string(i), *chans[i], *chans[i + 1]);
+    const std::string id = std::to_string(i);
+    s.make<ReducedMeb<Token>>(s, "m" + id, *chans[i], *chans[i + 1]);
   }
   MtSink<Token> sink(s, "sink", *chans.back());
   for (std::size_t t = 0; t < threads; ++t) {

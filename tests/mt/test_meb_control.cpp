@@ -35,7 +35,7 @@ TEST(ReducedMebControl, SecondArrivalClaimsSharedSlot) {
   EXPECT_FALSE(ops.store_main);
   EXPECT_EQ(c.state(1), EbState::kFull);
   EXPECT_TRUE(c.shared_full());
-  EXPECT_EQ(c.shared_owner(), 1u);
+  EXPECT_EQ(c.shared_owner(0), 1u);
 }
 
 TEST(ReducedMebControl, SharedSlotBlocksOtherHalfThreads) {
@@ -125,7 +125,48 @@ TEST(ReducedMebControl, ResetClearsEverything) {
   c.reset();
   EXPECT_EQ(c.state(0), EbState::kEmpty);
   EXPECT_FALSE(c.shared_full());
-  EXPECT_EQ(c.shared_owner(), 2u);
+  EXPECT_EQ(c.shared_owner(0), 2u);
+}
+
+TEST(ReducedMebControl, PoolOfTwoClaimsLowestFreeSlotFirst) {
+  ReducedMebControl c(3, 2);
+  for (std::size_t t = 0; t < 3; ++t) c.commit(t, kNone);  // all HALF
+  EXPECT_EQ(c.commit(1, kNone).in_slot, 0u);
+  EXPECT_EQ(c.commit(2, kNone).in_slot, 1u);
+  EXPECT_TRUE(c.shared_full());
+  EXPECT_FALSE(c.ready_out(0));  // HALF, but both slots are held
+  // Thread 1 dequeues: its main register refills from slot 0, which frees.
+  const auto ops = c.commit(kNone, 1);
+  EXPECT_TRUE(ops.refill_main);
+  EXPECT_EQ(ops.out_slot, 0u);
+  EXPECT_EQ(c.shared_owner(0), 3u);
+  EXPECT_EQ(c.shared_owner(1), 2u);
+  EXPECT_TRUE(c.ready_out(0));
+  // Thread 2 frees slot 1 too; the next claim still takes slot 0.
+  EXPECT_EQ(c.commit(kNone, 2).out_slot, 1u);
+  EXPECT_EQ(c.shared_used(), 0u);
+  const auto claim = c.commit(0, kNone);
+  EXPECT_TRUE(claim.store_shared);
+  EXPECT_EQ(claim.in_slot, 0u);
+  EXPECT_EQ(c.shared_owner(0), 0u);
+}
+
+TEST(ReducedMebControl, PoolOfTwoRecyclesSlotAcrossThreads) {
+  ReducedMebControl c(3, 2);
+  c.commit(0, kNone);
+  c.commit(0, kNone);  // thread 0 FULL in slot 0
+  c.commit(1, kNone);  // thread 1 HALF
+  EXPECT_EQ(c.shared_owner(0), 0u);
+  c.commit(kNone, 0);  // thread 0 drains to HALF: slot 0 frees
+  c.commit(kNone, 0);  // ... and to EMPTY
+  EXPECT_EQ(c.shared_owner(0), 3u);
+  const auto ops = c.commit(1, kNone);  // thread 1 claims the recycled slot
+  EXPECT_EQ(ops.in_slot, 0u);
+  EXPECT_EQ(c.shared_owner(0), 1u);
+  EXPECT_EQ(c.state(1), EbState::kFull);
+  EXPECT_EQ(c.shared_used(), 1u);
+  EXPECT_FALSE(c.shared_full());
+  EXPECT_EQ(c.commit(kNone, 1).out_slot, 0u);
 }
 
 // Invariant sweep: random legal traffic never creates two FULL threads

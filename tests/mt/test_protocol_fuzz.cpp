@@ -9,7 +9,6 @@
 #include <deque>
 
 #include "mt/full_meb.hpp"
-#include "mt/hybrid_meb.hpp"
 #include "mt/mt_channel.hpp"
 #include "mt/reduced_meb.hpp"
 #include "sim/component.hpp"
@@ -106,6 +105,7 @@ class FuzzConsumer : public sim::Component {
   std::vector<Token> received_;
 };
 
+/// kHybrid2: the reduced MEB with a pool of two shared slots.
 enum class Kind { kFull, kReduced, kHybrid2 };
 
 class ProtocolFuzz : public testing::TestWithParam<std::tuple<Kind, int, int>> {};
@@ -117,22 +117,18 @@ TEST_P(ProtocolFuzz, ConservationOrderAndBounds) {
   FuzzProducer producer(s, in, 1000 + seed, 50);
   FullMeb<Token>* full = nullptr;
   ReducedMeb<Token>* reduced = nullptr;
-  HybridMeb<Token>* hybrid = nullptr;
-  switch (kind) {
-    case Kind::kFull: full = &s.make<FullMeb<Token>>(s, "meb", in, out); break;
-    case Kind::kReduced: reduced = &s.make<ReducedMeb<Token>>(s, "meb", in, out); break;
-    case Kind::kHybrid2: hybrid = &s.make<HybridMeb<Token>>(s, "meb", in, out, 2); break;
+  if (kind == Kind::kFull) {
+    full = &s.make<FullMeb<Token>>(s, "meb", in, out);
+  } else {
+    reduced = &s.make<ReducedMeb<Token>>(s, "meb", in, out, nullptr,
+                                         kind == Kind::kHybrid2 ? 2 : 1);
   }
   FuzzConsumer consumer(s, out, 2000 + seed);
 
-  const std::size_t capacity = full != nullptr      ? full->capacity()
-                               : reduced != nullptr ? reduced->capacity()
-                                                    : hybrid->capacity();
+  const std::size_t capacity = full != nullptr ? full->capacity() : reduced->capacity();
   bool occupancy_ok = true;
   s.on_cycle([&](sim::Cycle) {
-    const int occ = full != nullptr      ? full->total_occupancy()
-                    : reduced != nullptr ? reduced->total_occupancy()
-                                         : static_cast<int>(capacity);  // tracked below
+    const int occ = full != nullptr ? full->total_occupancy() : reduced->total_occupancy();
     if (occ > static_cast<int>(capacity)) occupancy_ok = false;
   });
 

@@ -16,9 +16,9 @@ std::vector<std::uint64_t> thread_tokens(std::size_t thread, std::size_t n) {
 }
 
 struct ReducedRig {
-  explicit ReducedRig(std::size_t threads)
-      : in(s, "in", threads), out(s, "out", threads),
-        src(s, "src", in), meb(s, "meb", in, out), sink(s, "sink", out) {}
+  explicit ReducedRig(std::size_t threads, std::size_t shared_slots = 1)
+      : in(s, "in", threads), out(s, "out", threads), src(s, "src", in),
+        meb(s, "meb", in, out, nullptr, shared_slots), sink(s, "sink", out) {}
 
   sim::Simulator s;
   MtChannel<std::uint64_t> in;
@@ -77,7 +77,7 @@ TEST(ReducedMeb, StalledThreadClaimsSharedSlot) {
   // Thread 1 blocked: its main slot + the shared slot hold its two tokens.
   EXPECT_EQ(rig.meb.occupancy(1), 2);
   EXPECT_TRUE(rig.meb.shared_full());
-  EXPECT_EQ(rig.meb.shared_owner(), 1u);
+  EXPECT_EQ(rig.meb.shared_owner(0), 1u);
   // Thread 0 can still flow through its own main slot...
   EXPECT_GT(rig.sink.count(0), 20u);
   // ...but cannot buffer two items: it never exceeds occupancy 1.
@@ -186,6 +186,96 @@ TEST(ReducedMeb, SharedSlotReleaseTakesOneCycleToReopen) {
   s.run(1);
   s.settle();
   EXPECT_TRUE(in.ready(1).get());  // reopens one cycle later
+}
+
+// --- pool sizes other than the paper's K = 1 --------------------------------
+
+TEST(ReducedMeb, PoolCapacityBookkeeping) {
+  ReducedRig rig(4, 2);
+  EXPECT_EQ(rig.meb.capacity(), 6u);
+  EXPECT_EQ(rig.meb.shared_slots(), 2u);
+}
+
+TEST(ReducedMeb, PoolOfZeroCapsSingleThreadAtHalfRate) {
+  ReducedRig rig(2, 0);
+  rig.src.set_generator(0, [](std::uint64_t i) { return i; });
+  rig.s.reset();
+  rig.s.run(200);
+  EXPECT_NEAR(static_cast<double>(rig.sink.count(0)), 100.0, 5.0);
+}
+
+TEST(ReducedMeb, PoolOfThreadsGivesEveryThreadTwoSlots) {
+  ReducedRig rig(3, 3);
+  for (std::size_t t = 0; t < 3; ++t) {
+    rig.src.set_generator(t, [t](std::uint64_t i) { return t * 1000 + i; });
+    rig.sink.add_stall_window(t, 0, 30);
+  }
+  rig.s.reset();
+  rig.s.run(30);
+  // Every thread buffered two items: 3 main + 3 shared slots used.
+  EXPECT_EQ(rig.meb.shared_used(), 3u);
+  for (std::size_t t = 0; t < 3; ++t) {
+    EXPECT_EQ(rig.meb.state(t), elastic::EbState::kFull);
+  }
+}
+
+TEST(ReducedMeb, PoolConservationAndOrderUnderRandomTraffic) {
+  for (std::size_t k : {0u, 1u, 2u, 3u, 4u}) {
+    ReducedRig rig(4, k);
+    for (std::size_t t = 0; t < 4; ++t) {
+      rig.src.set_tokens(t, thread_tokens(t, 40));
+      rig.src.set_rate(t, 0.6, 100 + t);
+      rig.sink.set_rate(t, 0.5, 200 + t);
+    }
+    rig.s.reset();
+    rig.s.run(3000);
+    for (std::size_t t = 0; t < 4; ++t) {
+      EXPECT_EQ(rig.sink.received(t), thread_tokens(t, 40)) << "k=" << k << " t=" << t;
+    }
+  }
+}
+
+TEST(ReducedMeb, PoolSlotsRecycleAcrossThreads) {
+  // Thread 0 claims and releases the single shared slot, then thread 1
+  // must be able to claim it.
+  ReducedRig rig(2);
+  rig.src.set_tokens(0, {1, 2});
+  rig.s.reset();
+  rig.sink.add_stall_window(0, 0, 10);
+  rig.s.run(10);
+  EXPECT_EQ(rig.meb.shared_used(), 1u);
+  rig.s.run(20);  // drain thread 0
+  EXPECT_EQ(rig.meb.shared_used(), 0u);
+  rig.src.set_tokens(1, {100, 101});
+  // A fresh stall for thread 1 (window relative to current time).
+  rig.sink.add_stall_window(1, 0, 1000);
+  rig.s.run(20);
+  EXPECT_EQ(rig.meb.shared_used(), 1u);
+  EXPECT_EQ(rig.meb.state(1), elastic::EbState::kFull);
+}
+
+TEST(ReducedMeb, PoolLargerThanThreadsStoresAtMostThreads) {
+  // At most S threads can be FULL, so a pool of 2^40 slots stores S
+  // shared words: it is built, fills and drains like a pool of S.
+  constexpr std::size_t kPool = std::size_t{1} << 40;
+  ReducedRig rig(4, kPool);
+  EXPECT_EQ(rig.meb.capacity(), 4 + kPool);
+  for (std::size_t t = 0; t < 4; ++t) {
+    rig.src.set_tokens(t, thread_tokens(t, 30));
+    rig.sink.add_stall_window(t, 0, 40);
+  }
+  rig.s.reset();
+  rig.s.run(40);
+  EXPECT_EQ(rig.meb.shared_used(), 4u);
+  EXPECT_FALSE(rig.meb.shared_full());
+  for (std::size_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(rig.meb.state(t), elastic::EbState::kFull);
+  }
+  rig.s.run(400);
+  for (std::size_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(rig.sink.received(t), thread_tokens(t, 30)) << "thread " << t;
+  }
+  EXPECT_EQ(rig.meb.shared_used(), 0u);
 }
 
 }  // namespace

@@ -122,7 +122,8 @@ TEST(Netlist, LongBufferFreeChainPassesValidation) {
   Netlist n;
   std::size_t prev = n.add(Node::source("src"));
   for (std::size_t i = 0; i + 2 < kNodes; ++i) {
-    const std::size_t f = n.add(Node::function("f" + std::to_string(i), "id"));
+    const std::string id = std::to_string(i);
+    const std::size_t f = n.add(Node::function("f" + id, "id"));
     n.connect(prev, 0, f, 0);
     prev = f;
   }

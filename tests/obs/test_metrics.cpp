@@ -64,6 +64,16 @@ TEST(MetricsSnapshot, RowsSortByNameAndRenderFixedFormats) {
             "\"value\":1.500000}]}\n");
 }
 
+TEST(MetricsSnapshot, JsonEscapesControlBytesInNames) {
+  MetricsRegistry reg;
+  reg.add_source([](MetricsSink& sink) {
+    sink.counter(std::string("q\"b\\s\rn\nt\tc\x01", 12), 7);
+  });
+  EXPECT_EQ(reg.snapshot().to_json(),
+            "{\"metrics\":[{\"name\":\"q\\\"b\\\\s\\rn\\nt\\tc\\u0001\","
+            "\"category\":\"semantic\",\"value\":7}]}\n");
+}
+
 TEST(MetricsSnapshot, AccessorsReturnZeroForMissingRows) {
   const MetricsSnapshot snap({});
   EXPECT_EQ(snap.find("nope"), nullptr);

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -138,6 +139,23 @@ TEST(MteProfCli, ChannelObservationMatchesGoldens) {
 
 TEST(MteProfCli, BadFlagExitsTwo) {
   EXPECT_EQ(run_prof("--no-such-flag x.enl").exit_code, 2);
+}
+
+TEST(MteProfCli, MalformedNumberExitsTwo) {
+  // Each spelling once aborted, ran a truncated value, wrapped to a huge
+  // pool or wrapped to a stride of 0.
+  const std::string netlist = example("fig5_pipeline.enl");
+  for (const auto& [flag, text] : {std::pair{"--cycles", "abc"},
+                                   std::pair{"--cycles", "10x"},
+                                   std::pair{"--shared-slots", "-1"},
+                                   std::pair{"--stride", "4294967296"}}) {
+    SCOPED_TRACE(std::string(flag) + " " + text);
+    const CliResult r = run_prof(std::string(flag) + " " + text + " --quiet " + netlist +
+                                 " 2>&1");
+    EXPECT_EQ(r.exit_code, 2);
+    EXPECT_EQ(r.output, std::string("mte_prof: bad number '") + text + "' for " + flag +
+                            "\n");
+  }
 }
 
 TEST(MteProfCli, MissingNetlistExitsTwo) {

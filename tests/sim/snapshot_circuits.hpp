@@ -2,7 +2,7 @@
 // representative designs the kernel-equivalence tests exercise (fig1
 // single-thread flows, fork/join diamonds, branch/merge routing,
 // variable-latency units, fig5 MEB pipelines, MEB operator pipelines,
-// multithreaded var-latency, hybrid-MEB capacity points), packaged as
+// multithreaded var-latency, reduced-MEB pool-size points), packaged as
 // data so the snapshot differ and the save/restore lockstep tests can
 // iterate over every one of them under both kernels.
 #pragma once
@@ -23,7 +23,8 @@ struct SnapshotCase {
   /// elaboration of the case (rates, generators and stall windows are
   /// configuration, not snapshot state).
   std::function<void(netlist::Elaboration&)> configure;
-  /// When set, buffers elaborate to HybridMeb with this many shared slots.
+  /// When set, buffers elaborate to reduced MEBs with this many shared
+  /// slots (ElaborationOptions::meb_shared_slots).
   std::optional<std::size_t> meb_shared_slots;
 };
 
@@ -143,7 +144,8 @@ inline std::vector<SnapshotCase> snapshot_cases() {
   cases.push_back({"meb_operator_pipeline_s4_reduced",
                    meb_operator_pipeline(4, mt::MebKind::kReduced),
                    contended_workload, std::nullopt});
-  // Hybrid-MEB capacity point: S=4 main slots + 2 dynamically shared.
+  // Pool-size point: reduced MEBs with S=4 main slots + 2 dynamically
+  // shared.
   cases.push_back({"meb_operator_pipeline_s4_hybrid2",
                    meb_operator_pipeline(4, mt::MebKind::kFull), contended_workload,
                    std::size_t{2}});

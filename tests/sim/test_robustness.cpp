@@ -438,7 +438,8 @@ TEST(Watchdog, DiagnosisSurvivesLongStalledChain) {
   Netlist net;
   std::size_t prev = net.add(Node::source("src"));
   for (std::size_t i = 0; i + 2 < kNodes; ++i) {
-    const std::size_t f = net.add(Node::function("f" + std::to_string(i), "id"));
+    const std::string id = std::to_string(i);
+    const std::size_t f = net.add(Node::function("f" + id, "id"));
     net.connect(prev, 0, f, 0);
     prev = f;
   }

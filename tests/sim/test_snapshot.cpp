@@ -422,8 +422,8 @@ TEST(SnapshotRestore, LongSnapshotLeavesTheWriterInPieces) {
   // save() hands a long snapshot to its stream a frame boundary at a
   // time, so it never buffers all of it; restore reads it back from
   // seekable and unseekable streams alike.
-  auto a = chaintest::elaborate_chain(500, sim::KernelKind::kEventDriven);
-  step_n(a->simulator(), 600);
+  auto a = chaintest::elaborate_chain(700, sim::KernelKind::kEventDriven);
+  step_n(a->simulator(), 800);
   WitnessBuf out;
   std::ostream os(&out);
   a->simulator().save(os);
@@ -434,7 +434,7 @@ TEST(SnapshotRestore, LongSnapshotLeavesTheWriterInPieces) {
 
   for (const bool seekable : {true, false}) {
     SCOPED_TRACE(seekable ? "seekable" : "unseekable");
-    auto b = chaintest::elaborate_chain(500, sim::KernelKind::kEventDriven);
+    auto b = chaintest::elaborate_chain(700, sim::KernelKind::kEventDriven);
     WitnessBuf in(snap, seekable);
     std::istream is(&in);
     b->simulator().restore(is);

@@ -30,7 +30,8 @@ using Word = std::uint64_t;
 struct StPipeline {
   explicit StPipeline(sim::KernelKind kernel) : s(kernel) {
     for (int i = 0; i < 4; ++i) {
-      ch.push_back(&s.make<elastic::Channel<Word>>(s, "c" + std::to_string(i)));
+      const std::string id = std::to_string(i);
+      ch.push_back(&s.make<elastic::Channel<Word>>(s, "c" + id));
     }
     src = &s.make<elastic::Source<Word>>(s, "src", *ch[0]);
     eb0 = &s.make<elastic::ElasticBuffer<Word>>(s, "eb0", *ch[0], *ch[1]);

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_number.hpp"
 #include "dse/campaign.hpp"
 #include "dse/merge.hpp"
 #include "dse/report.hpp"
@@ -111,18 +112,7 @@ std::vector<std::string> split_csv(const std::string& s) {
 }
 
 std::uint64_t parse_u64(const std::string& v, const char* flag) {
-  std::size_t used = 0;
-  unsigned long long n = 0;
-  try {
-    n = std::stoull(v, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != v.size()) {
-    std::fprintf(stderr, "mte_dse: bad number '%s' for %s\n", v.c_str(), flag);
-    std::exit(2);
-  }
-  return n;
+  return cli::parse_number<std::uint64_t>("mte_dse", v, flag);
 }
 
 dse::SweepSpec preset_spec(const std::string& name) {

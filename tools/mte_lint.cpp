@@ -25,8 +25,10 @@
 #include <vector>
 
 #include "analysis/analyze.hpp"
+#include "cli_number.hpp"
 #include "netlist/fuzz.hpp"
 #include "netlist/text_format.hpp"
+#include "obs/json_escape.hpp"
 
 namespace {
 
@@ -46,12 +48,13 @@ void usage(std::ostream& os) {
         "  --arbiter <kind>     arbitration assumed at elaboration:\n"
         "                       round_robin (default), oblivious,\n"
         "                       fixed_priority, matrix\n"
-        "  --shared-slots <k>   hybrid MEB pool size K (enables the\n"
+        "  --shared-slots <k>   reduced-MEB pool size K (enables the\n"
         "                       MTE041/042 pool checks)\n"
         "  --fuzz-corpus <n>    lint n generated netlists from the seeded\n"
         "                       fuzz generator instead of files\n"
-        "  --seed <base>        fuzz corpus base seed (default 0xC0FFEE;\n"
-        "                       CI pins the same seed as the fuzz tests)\n"
+        "  --seed <base>        fuzz corpus base seed, decimal or 0x hex\n"
+        "                       (default 0xC0FFEE; CI pins the same seed\n"
+        "                       as the fuzz tests)\n"
         "  --perf               run the static performance pass too:\n"
         "                       MTE050-054 throughput bounds, bottleneck\n"
         "                       cycle and buffer fix-its\n"
@@ -92,7 +95,7 @@ std::string render_json(const std::vector<LintedInput>& inputs) {
     std::string body = inputs[i].report.render_json();
     while (!body.empty() && body.back() == '\n') body.pop_back();
     os << (i == 0 ? "\n" : ",\n");
-    os << "    {\"name\": \"" << mte::analysis::json_escape(inputs[i].name)
+    os << "    {\"name\": \"" << mte::obs::json_escape(inputs[i].name)
        << "\", \"report\": " << body << "}";
   }
   if (!inputs.empty()) os << "\n  ";
@@ -138,26 +141,14 @@ int main(int argc, char** argv) {
       }
       options.arbiter = *kind;
     } else if (a == "--shared-slots") {
-      try {
-        options.meb_shared_slots = std::stoul(value("--shared-slots"));
-      } catch (const std::exception&) {
-        std::cerr << "mte_lint: bad --shared-slots '" << args[i] << "'\n";
-        return 2;
-      }
+      options.meb_shared_slots = mte::cli::parse_number<std::size_t>(
+          "mte_lint", value("--shared-slots"), "--shared-slots");
     } else if (a == "--fuzz-corpus") {
-      try {
-        fuzz_corpus = std::stoul(value("--fuzz-corpus"));
-      } catch (const std::exception&) {
-        std::cerr << "mte_lint: bad --fuzz-corpus '" << args[i] << "'\n";
-        return 2;
-      }
+      fuzz_corpus = mte::cli::parse_number<std::size_t>(
+          "mte_lint", value("--fuzz-corpus"), "--fuzz-corpus");
     } else if (a == "--seed") {
-      try {
-        fuzz_seed = std::stoull(value("--seed"), nullptr, 0);
-      } catch (const std::exception&) {
-        std::cerr << "mte_lint: bad --seed '" << args[i] << "'\n";
-        return 2;
-      }
+      fuzz_seed = mte::cli::parse_number<std::uint64_t>("mte_lint", value("--seed"),
+                                                        "--seed", /*allow_hex=*/true);
     } else if (a == "--perf") {
       options.perf = true;
     } else if (a == "--json") {

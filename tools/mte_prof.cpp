@@ -31,8 +31,10 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "cli_number.hpp"
 #include "netlist/elaborate.hpp"
 #include "netlist/text_format.hpp"
 #include "obs/metrics.hpp"
@@ -61,8 +63,8 @@ void usage(std::ostream& os) {
         "  --kernel <k>         event (default) | naive\n"
         "  --arbiter <kind>     round_robin (default), oblivious,\n"
         "                       fixed_priority, matrix\n"
-        "  --shared-slots <k>   elaborate buffers as hybrid MEBs with k\n"
-        "                       shared slots\n"
+        "  --shared-slots <k>   elaborate buffers as reduced MEBs with a\n"
+        "                       pool of k shared slots\n"
         "  --seed <n>           base seed for source/sink rate gates\n"
         "                       (default 1)\n"
         "  --metrics <file>     write the metrics snapshot (.csv => CSV,\n"
@@ -116,11 +118,15 @@ bool parse_args(int argc, char** argv, Args& a) {
       }
       return argv[++i];
     };
+    const auto number = [&](const char* flag, auto& out) {
+      out = mte::cli::parse_number<std::remove_reference_t<decltype(out)>>(
+          "mte_prof", value(flag), flag);
+    };
     if (arg == "-h" || arg == "--help") {
       usage(std::cout);
       std::exit(0);
     } else if (arg == "--cycles") {
-      a.cycles = std::stoull(value("--cycles"));
+      number("--cycles", a.cycles);
     } else if (arg == "--kernel") {
       const std::string k = value("--kernel");
       if (k == "event") {
@@ -133,22 +139,16 @@ bool parse_args(int argc, char** argv, Args& a) {
       }
     } else if (arg == "--arbiter") {
       const std::string k = value("--arbiter");
-      if (k == "round_robin") {
-        a.arbiter = mte::mt::ArbiterKind::kRoundRobin;
-      } else if (k == "oblivious") {
-        a.arbiter = mte::mt::ArbiterKind::kOblivious;
-      } else if (k == "fixed_priority") {
-        a.arbiter = mte::mt::ArbiterKind::kFixedPriority;
-      } else if (k == "matrix") {
-        a.arbiter = mte::mt::ArbiterKind::kMatrix;
-      } else {
+      const auto kind = mte::mt::parse_arbiter_kind(k);
+      if (!kind) {
         std::cerr << "mte_prof: unknown arbiter '" << k << "'\n";
         return false;
       }
+      a.arbiter = *kind;
     } else if (arg == "--shared-slots") {
-      a.shared_slots = std::stoull(value("--shared-slots"));
+      number("--shared-slots", a.shared_slots.emplace());
     } else if (arg == "--seed") {
-      a.seed = std::stoull(value("--seed"));
+      number("--seed", a.seed);
     } else if (arg == "--metrics") {
       a.metrics_path = value("--metrics");
     } else if (arg == "--all-categories") {
@@ -156,17 +156,17 @@ bool parse_args(int argc, char** argv, Args& a) {
     } else if (arg == "--trace") {
       a.trace_path = value("--trace");
     } else if (arg == "--trace-limit") {
-      a.trace_limit = std::stoull(value("--trace-limit"));
+      number("--trace-limit", a.trace_limit);
     } else if (arg == "--vcd") {
       a.vcd_path = value("--vcd");
     } else if (arg == "--stride") {
-      a.stride = static_cast<std::uint32_t>(std::stoul(value("--stride")));
+      number("--stride", a.stride);
     } else if (arg == "--top") {
-      a.top = std::stoull(value("--top"));
+      number("--top", a.top);
     } else if (arg == "--monitors") {
       a.monitors = true;
     } else if (arg == "--watchdog") {
-      a.watchdog = std::stoull(value("--watchdog"));
+      number("--watchdog", a.watchdog);
       a.monitors = true;  // the watchdog's progress signal
     } else if (arg == "--quiet") {
       a.quiet = true;
