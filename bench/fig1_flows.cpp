@@ -8,7 +8,8 @@
 //
 // Both elastic variants are described through the fluent CircuitBuilder;
 // the deterministic latency pattern of the variable-latency unit enters
-// through a custom node kind registered with the ComponentFactory.
+// through a custom node kind registered with an otherwise empty
+// ComponentFactory.
 #include <cstdio>
 
 #include "elastic/var_latency.hpp"
@@ -43,7 +44,7 @@ double run_elastic(sim::Timeline& tl, int cycles) {
   b.source("src") >> b.custom("vl", "pattern_vl", 1, 1) >> b.buffer("eb")
       >> b.sink("sink");
 
-  auto factory = netlist::ComponentFactory::with_defaults();
+  netlist::ComponentFactory factory;
   factory.register_custom_st("pattern_vl", [](const netlist::StContext& ctx) {
     auto& vl = ctx.sim.make<elastic::VariableLatencyUnit<Word>>(
         ctx.sim, ctx.node.name, ctx.in(0), ctx.out(0));

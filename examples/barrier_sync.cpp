@@ -4,8 +4,8 @@
 // dumped as a VCD waveform for inspection in GTKWave.
 //
 // The barrier is not a built-in netlist primitive: it enters the design
-// as a custom node whose kind string resolves through the
-// ComponentFactory registry — the extension mechanism for new paper
+// as a custom node whose kind string resolves through a ComponentFactory,
+// the registry of custom kinds — the extension mechanism for new paper
 // primitives.
 #include <cstdio>
 
@@ -23,9 +23,9 @@ int main() {
   b.source("src") >> b.buffer("meb") >> b.custom("barrier", "barrier", 1, 1)
       >> b.sink("sink");
 
-  // Teach the elaboration registry what a "barrier" is.
+  // Register a "barrier" kind; the built-in primitives need no registration.
   mt::Barrier<Word>* barrier = nullptr;
-  auto factory = netlist::ComponentFactory::with_defaults();
+  netlist::ComponentFactory factory;
   factory.register_custom_mt("barrier", [&barrier](const netlist::MtContext& ctx) {
     barrier = &ctx.sim.make<mt::Barrier<Word>>(ctx.sim, ctx.node.name, ctx.in(0),
                                                ctx.out(0));

@@ -6,7 +6,7 @@
 // topology is exactly a netlist the synthesis flow can express — so this
 // example also rebuilds the engine's dataflow skeleton with the fluent
 // CircuitBuilder (merge -> round unit -> MEB -> barrier -> exit branch,
-// with the barrier entering through the custom-node registry) and
+// with the barrier registered as a custom kind in a ComponentFactory) and
 // simulates it to show where the paper's round-loop spends its cycles.
 #include <cstdio>
 #include <string>
@@ -35,7 +35,7 @@ void round_loop_skeleton(std::size_t threads, mt::MebKind kind) {
 
   auto registry = netlist::FunctionRegistry::with_defaults();
   registry.add_pred("rounds_done", [](Word v) { return v % 4 == 0; });
-  auto factory = netlist::ComponentFactory::with_defaults();
+  netlist::ComponentFactory factory;
   mt::Barrier<Word>* barrier = nullptr;
   factory.register_custom_mt("barrier", [&barrier](const netlist::MtContext& ctx) {
     barrier = &ctx.sim.make<mt::Barrier<Word>>(ctx.sim, ctx.node.name, ctx.in(0),

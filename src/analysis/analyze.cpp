@@ -10,7 +10,7 @@
 #include <sstream>
 
 #include "analysis/perf.hpp"
-#include "analysis/scc.hpp"
+#include "sim/scc.hpp"
 
 namespace mte::analysis {
 namespace {
@@ -49,7 +49,7 @@ std::string name_set(const std::vector<std::string>& names) {
 std::vector<std::vector<std::size_t>> tarjan_nontrivial(
     const std::vector<std::vector<std::size_t>>& adj) {
   const std::size_t n = adj.size();
-  const std::vector<std::size_t> ids = detail::scc_ids(adj, [](std::size_t w) { return w; });
+  const std::vector<std::size_t> ids = sim::scc_ids(adj, [](std::size_t w) { return w; });
   std::vector<std::size_t> size(n, 0);  // ids are below n
   for (const std::size_t id : ids) ++size[id];
   std::vector<std::vector<std::size_t>> groups(n);  // empty ones allocate nothing

@@ -8,7 +8,7 @@
 #include <queue>
 #include <set>
 
-#include "analysis/scc.hpp"
+#include "sim/scc.hpp"
 
 namespace mte::analysis {
 namespace {
@@ -482,7 +482,7 @@ bool certify_min_cycle_mean(const MarkedGraph& g, const CycleMeanResult& r) {
   // the ratio of its vertices.
   using i128 = __int128;
   const std::vector<std::size_t> scc =
-      detail::scc_ids(g.adj, [](const PerfArc& a) { return a.to; });
+      sim::scc_ids(g.adj, [](const PerfArc& a) { return a.to; });
   for (std::size_t u = 0; u < n; ++u) {
     for (const PerfArc& a : g.adj[u]) {
       const std::size_t x = a.to;
@@ -597,7 +597,13 @@ double windowed_bound(const PerfSinkBound& sink, std::size_t cycles) {
 // The full pass
 // ---------------------------------------------------------------------------
 
-PerfReport analyze_perf(const Netlist& net, const PerfOptions& options) {
+PerfReport analyze_perf(const Netlist& net, const PerfOptions& given) {
+  // At most S threads hold a pool slot, so a pool of K > S slots behaves
+  // like one of S (and S + K, S * (1 + K) cannot wrap).
+  PerfOptions options = given;
+  if (options.meb_shared_slots) {
+    options.meb_shared_slots = std::min(*options.meb_shared_slots, net.threads());
+  }
   PerfReport rep;
   const auto& nodes = net.nodes();
 

@@ -55,7 +55,8 @@ struct PerfOptions {
   /// Reduced-MEB shared-pool size K (ElaborationOptions::meb_shared_slots).
   /// When set, MEB capacity is S+K and each thread's sustained rate is
   /// capped at (1+K)/2 (a lone thread waits out the handshake round trip
-  /// between its private slot and the pool).
+  /// between its private slot and the pool). The pass uses min(K, S):
+  /// slots past S never hold a word.
   std::optional<std::size_t> meb_shared_slots;
 };
 

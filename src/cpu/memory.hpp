@@ -84,10 +84,6 @@ class CacheModel {
 
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
-  [[nodiscard]] double hit_rate() const noexcept {
-    const auto total = hits_ + misses_;
-    return total == 0 ? 0.0 : static_cast<double>(hits_) / static_cast<double>(total);
-  }
 
   void save(sim::SnapshotWriter& w) const {
     sim::snapshot_write_span(w, tags_);

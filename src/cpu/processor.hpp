@@ -169,7 +169,6 @@ class Processor {
   [[nodiscard]] const mt::AnyMeb<Uop>& meb(std::size_t index) const {
     return mebs_.at(index);
   }
-  [[nodiscard]] std::size_t meb_count() const noexcept { return mebs_.size(); }
 
  private:
   ProcessorConfig cfg_;

@@ -1,8 +1,10 @@
 #include "dse/sweep_spec.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 #include "dse/workloads.hpp"
 #include "sim/rng.hpp"
@@ -141,15 +143,13 @@ SweepSpec SweepSpec::parse(const std::string& text) {
     if (values.empty() && (key == "cycles" || key == "seed")) {
       throw std::invalid_argument("SweepSpec: '" + key + "' needs a value");
     }
+    // Unsigned decimal over the whole token: no sign, no trailing text,
+    // no value past 2^64 - 1.
     const auto as_number = [&](const std::string& v) -> std::uint64_t {
-      std::size_t used = 0;
-      unsigned long long n = 0;
-      try {
-        n = std::stoull(v, &used);
-      } catch (const std::exception&) {
-        used = 0;
-      }
-      if (used != v.size()) {
+      std::uint64_t n = 0;
+      const char* const last = v.data() + v.size();
+      const auto [end, ec] = std::from_chars(v.data(), last, n);
+      if (ec != std::errc() || end != last) {
         throw std::invalid_argument("SweepSpec: bad number '" + v + "' for '" +
                                     key + "'");
       }
@@ -181,13 +181,9 @@ SweepSpec SweepSpec::parse(const std::string& text) {
     } else if (key == "kernels") {
       spec.kernels.clear();
       for (const auto& v : values) {
-        if (v == "naive") {
-          spec.kernels.push_back(sim::KernelKind::kNaive);
-        } else if (v == "event" || v == "event-driven") {
-          spec.kernels.push_back(sim::KernelKind::kEventDriven);
-        } else {
-          throw std::invalid_argument("SweepSpec: unknown kernel '" + v + "'");
-        }
+        const auto parsed = sim::parse_kernel_kind(v);
+        if (!parsed) throw std::invalid_argument("SweepSpec: unknown kernel '" + v + "'");
+        spec.kernels.push_back(*parsed);
       }
     } else if (key == "cycles") {
       spec.cycles = as_number(values.at(0));

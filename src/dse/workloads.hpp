@@ -17,7 +17,7 @@
 //               on barrel programs, run to halt
 //
 // The netlist workloads (fig1, fig5) elaborate through CircuitBuilder /
-// ComponentFactory, so every axis — variant, capacity, arbiter, kernel —
+// Elaboration, so every axis — variant, capacity, arbiter, kernel —
 // applies; the hand-built engines pin what their construction fixes.
 #pragma once
 

@@ -2,9 +2,9 @@
 // protocol (paper Sec. II, Fig. 2). Sustains 100 % throughput; forward and
 // backward handshake latency of one cycle.
 //
-// Both buffers are two-phase components: the forward process drives
-// out.valid/out.data from registered state, the backward process drives
-// in.ready from registered state. Neither process reads a wire, so under
+// A two-phase component: the forward process drives out.valid/out.data
+// from registered state, the backward process drives in.ready from
+// registered state. Neither process reads a wire, so under
 // the event kernel they re-run only when a clock edge actually changes
 // the state they publish (set_tick_touched), and a buffer whose
 // settled handshake implies no transfer skips its clock edge entirely
@@ -93,72 +93,6 @@ class ElasticBuffer : public sim::TwoPhaseComponent<ElasticBuffer<T>> {
   EbControl ctrl_;
   T head_{};
   T aux_{};
-};
-
-/// HalfBuffer<T>: a capacity-1 elastic buffer. Cheaper than the 2-slot EB
-/// but cannot sustain 100 % throughput (it alternates accept/emit under
-/// continuous flow). Provided for capacity-ablation experiments.
-template <typename T>
-class HalfBuffer : public sim::TwoPhaseComponent<HalfBuffer<T>> {
-  friend sim::TwoPhaseComponent<HalfBuffer<T>>;
- public:
-  [[nodiscard]] std::string_view type_name() const noexcept override {
-    return "HalfBuffer";
-  }
-  HalfBuffer(sim::Simulator& s, std::string name, Channel<T>& in, Channel<T>& out)
-      : sim::TwoPhaseComponent<HalfBuffer<T>>(s, std::move(name)), in_(in), out_(out) {}
-
-  void reset() override {
-    full_ = false;
-    slot_ = T{};
-  }
-
-  void tick() override {
-    const bool in_fire = in_.valid.get() && !full_;
-    const bool out_fire = full_ && out_.ready.get();
-    if (in_fire) slot_ = in_.data.get();
-    const bool was_full = full_;
-    full_ = (full_ && !out_fire) || in_fire;
-    // One slot: valid and ready are both functions of full_ (and the slot
-    // word feeds out.data), so any fire touches both directions.
-    std::uint32_t touched = 0;
-    if (in_fire || full_ != was_full) touched |= sim::kForwardBit;
-    if (full_ != was_full) touched |= sim::kBackwardBit;
-    this->set_tick_touched(touched);
-    this->set_tick_idle_hint(!in_fire && !out_fire);
-  }
-
-  [[nodiscard]] bool tick_quiescent() const override {
-    const bool in_fire = in_.valid.get() && !full_;
-    const bool out_fire = full_ && out_.ready.get();
-    return !in_fire && !out_fire;
-  }
-
-  [[nodiscard]] bool full() const noexcept { return full_; }
-
-  void save_state(sim::SnapshotWriter& w) const override {
-    w.write_bool(full_);
-    sim::snapshot_write_value(w, slot_);
-  }
-
-  void load_state(sim::SnapshotReader& r) override {
-    full_ = r.read_bool();
-    slot_ = sim::snapshot_read_value<T>(r);
-  }
-
- protected:
-  void eval_forward() {
-    out_.valid.set(full_);
-    out_.data.set(slot_);
-  }
-
-  void eval_backward() { in_.ready.set(!full_); }
-
- private:
-  Channel<T>& in_;
-  Channel<T>& out_;
-  bool full_ = false;
-  T slot_{};
 };
 
 }  // namespace mte::elastic

@@ -116,10 +116,6 @@ class Md5Feeder : public sim::Component {
     return true;
   }
 
-  [[nodiscard]] bool has_digest(std::size_t t) const {
-    return per_thread_.at(t).digest.has_value();
-  }
-
   [[nodiscard]] const State& digest(std::size_t t) const {
     const auto& d = per_thread_.at(t).digest;
     if (!d) {
@@ -129,9 +125,6 @@ class Md5Feeder : public sim::Component {
     return *d;
   }
 
-  [[nodiscard]] std::uint64_t blocks_completed(std::size_t t) const {
-    return per_thread_.at(t).completed;
-  }
   /// Block count every thread processes (longest message, in blocks).
   [[nodiscard]] std::size_t rounds_of_blocks() const noexcept { return total_blocks_; }
 

@@ -97,20 +97,9 @@ class MtSource : public sim::Component {
   [[nodiscard]] std::uint64_t sent(std::size_t thread) const {
     return per_thread_.at(thread).sent;
   }
-  [[nodiscard]] std::uint64_t total_sent() const {
-    std::uint64_t total = 0;
-    for (const auto& t : per_thread_) total += t.sent;
-    return total;
-  }
   [[nodiscard]] bool exhausted(std::size_t thread) const {
     const auto& t = per_thread_.at(thread);
     return !t.generator && t.index >= t.tokens.size();
-  }
-  [[nodiscard]] bool all_exhausted() const {
-    for (std::size_t i = 0; i < threads(); ++i) {
-      if (!exhausted(i)) return false;
-    }
-    return true;
   }
 
   void save_state(sim::SnapshotWriter& w) const override {

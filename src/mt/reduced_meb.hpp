@@ -17,6 +17,7 @@
 // valids/data, backward = per-thread input readys from control state.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -123,9 +124,11 @@ class ReducedMeb : public sim::TwoPhaseComponent<ReducedMeb<T>> {
   [[nodiscard]] std::size_t shared_owner(std::size_t k) const { return ctrl_.shared_owner(k); }
   [[nodiscard]] const T& main_slot(std::size_t i) const { return main_.at(i); }
   [[nodiscard]] const T& shared_slot(std::size_t k) const { return shared_.at(k); }
-  /// Storage slots of this buffer (S main + K shared), of which at most
-  /// S + min(K, S) can ever hold a word.
-  [[nodiscard]] std::size_t capacity() const noexcept { return threads() + shared_slots(); }
+  /// Words this buffer can hold: S main plus min(K, S) shared (at most S
+  /// threads hold a pool slot).
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return threads() + std::min(shared_slots(), threads());
+  }
 
   void save_state(sim::SnapshotWriter& w) const override {
     // grant_ and the pending/ready masks are settle-phase scratch,

@@ -169,7 +169,6 @@ class ThreadMask {
   }
 
   // --- word-level access ----------------------------------------------------
-  [[nodiscard]] std::size_t word_count() const noexcept { return words_.size(); }
   [[nodiscard]] std::uint64_t word(std::size_t w) const { return words_[w]; }
   /// Stable pointer to word w — wires mirror their bool value into mask
   /// bits through this (MtChannel's valid mask). Stable because the word

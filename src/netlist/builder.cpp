@@ -274,14 +274,6 @@ analysis::AnalysisReport CircuitBuilder::analyze(
   return analysis::analyze(transformed(), options);
 }
 
-Elaboration CircuitBuilder::elaborate() const {
-  return Elaboration(transformed(), FunctionRegistry::with_defaults());
-}
-
-Elaboration CircuitBuilder::elaborate(const FunctionRegistry& registry) const {
-  return Elaboration(transformed(), registry);
-}
-
 Elaboration CircuitBuilder::elaborate(const FunctionRegistry& registry,
                                       const ComponentFactory& factory,
                                       ElaborationOptions options) const {

@@ -156,11 +156,10 @@ class CircuitBuilder {
   /// transform applied, when requested). Skips build()'s analyzer gate:
   /// Elaboration applies analysis::elaboration_errors under the real
   /// arbiter and throws ElaborationError on a design it cannot elaborate.
-  [[nodiscard]] Elaboration elaborate() const;
-  [[nodiscard]] Elaboration elaborate(const FunctionRegistry& registry) const;
-  [[nodiscard]] Elaboration elaborate(const FunctionRegistry& registry,
-                                      const ComponentFactory& factory,
-                                      ElaborationOptions options = {}) const;
+  [[nodiscard]] Elaboration elaborate(
+      const FunctionRegistry& registry = FunctionRegistry::with_defaults(),
+      const ComponentFactory& factory = ComponentFactory::defaults(),
+      ElaborationOptions options = {}) const;
 
   /// The netlist as described so far: single-thread, not yet validated.
   [[nodiscard]] const Netlist& netlist() const noexcept { return netlist_; }

@@ -1,15 +1,13 @@
-// ComponentFactory: the extensible elaboration registry.
+// ComponentFactory: the registry of custom node kinds.
 //
-// Elaboration no longer hard-codes how a netlist node turns into live
-// components: every NodeType resolves to a registered builder, one for
-// single-thread elaboration (elastic:: primitives) and one for
-// multithreaded elaboration (MEBs and M- operators) — the paper's
-// synthesis correspondence expressed as a table. kCustom nodes resolve by
-// their kind string instead, so downstream code can introduce new
-// primitives (barriers, pattern-latency servers, ...) without touching
-// this library:
+// Elaboration builds every built-in NodeType itself — the paper's
+// synthesis correspondence (EB -> full or reduced MEB, join -> M-Join,
+// fork -> M-Fork, ...) as one switch per elaboration mode. kCustom nodes
+// resolve by their kind string through this registry instead, so
+// downstream code can introduce new primitives (barriers,
+// pattern-latency servers, ...) without touching this library:
 //
-//   auto factory = ComponentFactory::with_defaults();
+//   netlist::ComponentFactory factory;
 //   factory.register_custom_mt("barrier", [&](const MtContext& ctx) {
 //     ctx.sim.make<mt::Barrier<Word>>(ctx.sim, ctx.node.name, ctx.in(0),
 //                                     ctx.out(0));
@@ -21,6 +19,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "elastic/channel.hpp"
@@ -33,7 +32,6 @@ namespace mte::netlist {
 
 using Word = std::uint64_t;
 
-class Elaboration;
 class FunctionRegistry;
 
 class ElaborationError : public std::runtime_error {
@@ -66,84 +64,70 @@ struct PortMap {
   }
 };
 
-/// Everything a single-thread node builder may need. in()/out() resolve
-/// the node's ports to the elaborated channels.
-struct StContext {
+/// Everything a node builder may need, in either elaboration mode.
+/// in()/out() resolve the node's ports to the elaborated channels:
+/// elastic::Channel on a single-thread design, mt::MtChannel on a
+/// multithreaded one.
+template <typename ChannelT>
+struct NodeContext {
   sim::Simulator& sim;
   const Netlist& netlist;
   const Node& node;
   const FunctionRegistry& registry;
-  const PortMap<elastic::Channel<Word>>& ports;
-  Elaboration& elab;
+  const PortMap<ChannelT>& ports;
 
-  [[nodiscard]] elastic::Channel<Word>& in(unsigned port = 0) const {
-    return ports.input_of(node, port);
-  }
-  [[nodiscard]] elastic::Channel<Word>& out(unsigned port = 0) const {
-    return ports.output_of(node, port);
-  }
-};
-
-/// Everything a multithreaded node builder may need.
-struct MtContext {
-  sim::Simulator& sim;
-  const Netlist& netlist;
-  const Node& node;
-  const FunctionRegistry& registry;
-  const PortMap<mt::MtChannel<Word>>& ports;
-  Elaboration& elab;
-
+  /// Thread count S (1 on a single-thread design).
   [[nodiscard]] std::size_t threads() const noexcept { return netlist.threads(); }
   [[nodiscard]] mt::MebKind meb_kind() const noexcept { return netlist.meb_kind(); }
-  [[nodiscard]] mt::MtChannel<Word>& in(unsigned port = 0) const {
+  [[nodiscard]] ChannelT& in(unsigned port = 0) const {
     return ports.input_of(node, port);
   }
-  [[nodiscard]] mt::MtChannel<Word>& out(unsigned port = 0) const {
+  [[nodiscard]] ChannelT& out(unsigned port = 0) const {
     return ports.output_of(node, port);
   }
 };
+
+using StContext = NodeContext<elastic::Channel<Word>>;
+using MtContext = NodeContext<mt::MtChannel<Word>>;
 
 class ComponentFactory {
  public:
-  using StBuilder = std::function<void(const StContext&)>;
-  using MtBuilder = std::function<void(const MtContext&)>;
+  template <typename ChannelT>
+  using Builder = std::function<void(const NodeContext<ChannelT>&)>;
+  using StBuilder = Builder<elastic::Channel<Word>>;
+  using MtBuilder = Builder<mt::MtChannel<Word>>;
 
-  ComponentFactory& register_st(NodeType type, StBuilder builder) {
-    st_[type] = std::move(builder);
-    return *this;
-  }
-  ComponentFactory& register_mt(NodeType type, MtBuilder builder) {
-    mt_[type] = std::move(builder);
-    return *this;
-  }
   /// Builders for kCustom nodes, keyed by the node's kind string.
   ComponentFactory& register_custom_st(const std::string& kind, StBuilder builder) {
-    custom_st_[kind] = std::move(builder);
+    custom_[kind].first = std::move(builder);
     return *this;
   }
   ComponentFactory& register_custom_mt(const std::string& kind, MtBuilder builder) {
-    custom_mt_[kind] = std::move(builder);
+    custom_[kind].second = std::move(builder);
     return *this;
   }
 
-  /// Resolves the builder for a node; throws ElaborationError when the
-  /// node's type (or custom kind) has no registration.
-  [[nodiscard]] const StBuilder& st(const Node& node) const;
-  [[nodiscard]] const MtBuilder& mt(const Node& node) const;
+  /// Builds a kCustom node with the builder registered for its kind in
+  /// the context's elaboration mode; throws ElaborationError when there
+  /// is none.
+  template <typename ChannelT>
+  void build(const NodeContext<ChannelT>& ctx) const {
+    const auto it = custom_.find(ctx.node.fn);
+    if (it == custom_.end() || !std::get<Builder<ChannelT>>(it->second)) {
+      constexpr bool kMt = std::is_same_v<ChannelT, mt::MtChannel<Word>>;
+      throw ElaborationError("custom node '" + ctx.node.name + "': no " +
+                             (kMt ? "multithreaded" : "single-thread") +
+                             " builder registered for kind '" + ctx.node.fn + "'");
+    }
+    std::get<Builder<ChannelT>>(it->second)(ctx);
+  }
 
-  /// The built-in primitive set: every NodeType except kCustom, for both
-  /// elaboration modes. Copy it and register more to extend.
-  [[nodiscard]] static ComponentFactory with_defaults();
-
-  /// A shared immutable default instance (what Elaboration uses when no
-  /// factory is passed).
+  /// A shared empty instance: no custom kinds (what Elaboration uses when
+  /// no factory is passed).
   [[nodiscard]] static const ComponentFactory& defaults();
 
  private:
-  std::map<NodeType, StBuilder> st_;
-  std::map<NodeType, MtBuilder> mt_;
-  std::map<std::string, StBuilder> custom_st_;
-  std::map<std::string, MtBuilder> custom_mt_;
+  std::map<std::string, std::pair<StBuilder, MtBuilder>> custom_;
 };
 
 }  // namespace mte::netlist

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -45,9 +46,6 @@ std::string channel_name(const Netlist& netlist, const Edge& e) {
 
 }  // namespace
 
-Elaboration::Elaboration(const Netlist& netlist, const FunctionRegistry& registry)
-    : Elaboration(netlist, registry, ComponentFactory::defaults()) {}
-
 Elaboration::Elaboration(const Netlist& netlist, const FunctionRegistry& registry,
                          const ComponentFactory& factory, ElaborationOptions options) {
   // The arbiter matters: MT fork/join reconvergence closes a cycle only
@@ -74,12 +72,12 @@ Elaboration::Elaboration(const Netlist& netlist, const FunctionRegistry& registr
   // references to them.
   rows_.reserve(netlist.edges().size());
   handles_.reserve(netlist.edges().size());
-  if (netlist.is_multithreaded()) {
-    elaborate_multi(netlist, registry, factory, options.channel_probes);
+  if (multithreaded_) {
+    elaborate<mt::MtChannel<Word>>(netlist, registry, factory);
   } else {
-    elaborate_single(netlist, registry, factory, options.channel_probes);
+    elaborate<elastic::Channel<Word>>(netlist, registry, factory);
   }
-  // With every node built (MEBs exposed), complete each row: endpoints,
+  // With every node built (MEBs recorded), complete each row: endpoints,
   // persistence flags, bare-node alias; and record each buffer's in/out
   // channels for the conservation watch.
   for (std::size_t i = 0; i < rows_.size(); ++i) {
@@ -132,7 +130,7 @@ Elaboration::Elaboration(const Netlist& netlist, const FunctionRegistry& registr
 
 void Elaboration::add_row(std::string name, std::span<sim::Wire<bool>> valid,
                           std::span<sim::Wire<bool>> ready, sim::Wire<Word>& data,
-                          const mt::ThreadMask* valid_mask, bool probes) {
+                          const mt::ThreadMask* valid_mask) {
   row_of_.emplace(name, rows_.size());
   sim::ChannelRow& row = rows_.emplace_back();
   row.name = std::move(name);
@@ -141,41 +139,30 @@ void Elaboration::add_row(std::string name, std::span<sim::Wire<bool>> valid,
   row.data = &data;
   row.valid_mask = valid_mask;
   handles_.emplace_back();
-  if (probes) handles_.back().probe = &sim_.make<ChannelProbe>(sim_, row);
+  if (options_.channel_probes) handles_.back().probe = &sim_.make<ChannelProbe>(sim_, row);
 }
 
-void Elaboration::elaborate_single(const Netlist& netlist,
-                                   const FunctionRegistry& registry,
-                                   const ComponentFactory& factory, bool probes) {
-  PortMap<elastic::Channel<Word>> ports;
+template <typename ChannelT>
+void Elaboration::elaborate(const Netlist& netlist, const FunctionRegistry& registry,
+                            const ComponentFactory& factory) {
+  PortMap<ChannelT> ports;
   for (const auto& e : netlist.edges()) {
-    auto& ch = sim_.make<elastic::Channel<Word>>(sim_, channel_name(netlist, e));
-    ports.out[{e.from, e.from_port}] = &ch;
-    ports.in[{e.to, e.to_port}] = &ch;
-    add_row(ch.name(), {&ch.valid, 1}, {&ch.ready, 1}, ch.data, nullptr, probes);
-    handles_.back().st = &ch;
+    ChannelT* ch = nullptr;
+    if constexpr (std::is_same_v<ChannelT, mt::MtChannel<Word>>) {
+      ch = &sim_.make<ChannelT>(sim_, channel_name(netlist, e), threads_);
+      add_row(ch->name(), ch->valid_wires(), ch->ready_wires(), ch->data,
+              &ch->valid_mask());
+      handles_.back().mt = ch;
+    } else {
+      ch = &sim_.make<ChannelT>(sim_, channel_name(netlist, e));
+      add_row(ch->name(), {&ch->valid, 1}, {&ch->ready, 1}, ch->data, nullptr);
+      handles_.back().st = ch;
+    }
+    ports.out[{e.from, e.from_port}] = ch;
+    ports.in[{e.to, e.to_port}] = ch;
   }
   for (const auto& n : netlist.nodes()) {
-    const StContext ctx{sim_, netlist, n, registry, ports, *this};
-    factory.st(n)(ctx);
-  }
-}
-
-void Elaboration::elaborate_multi(const Netlist& netlist,
-                                  const FunctionRegistry& registry,
-                                  const ComponentFactory& factory, bool probes) {
-  PortMap<mt::MtChannel<Word>> ports;
-  for (const auto& e : netlist.edges()) {
-    auto& ch = sim_.make<mt::MtChannel<Word>>(sim_, channel_name(netlist, e), threads_);
-    ports.out[{e.from, e.from_port}] = &ch;
-    ports.in[{e.to, e.to_port}] = &ch;
-    add_row(ch.name(), ch.valid_wires(), ch.ready_wires(), ch.data, &ch.valid_mask(),
-            probes);
-    handles_.back().mt = &ch;
-  }
-  for (const auto& n : netlist.nodes()) {
-    const MtContext ctx{sim_, netlist, n, registry, ports, *this};
-    factory.mt(n)(ctx);
+    build(NodeContext<ChannelT>{sim_, netlist, n, registry, ports}, factory);
   }
 }
 
@@ -272,8 +259,7 @@ void Elaboration::attach_monitor(sim::ProtocolMonitor& monitor) {
   for (const sim::ChannelRow& row : rows_) monitor.watch(row);
   // Token conservation across every buffer whose input and output are
   // both internal channels (boundary buffers lack one side): MEBs via
-  // AnyMeb::total_occupancy, ST elastic buffers via the occupancy
-  // accessor their builder exposed.
+  // AnyMeb::total_occupancy, ST elastic buffers via their occupancy.
   const auto watch_buffer = [&](const std::string& node,
                                 std::function<int()> occupancy) {
     const auto it = buffer_io_.find(node);
@@ -287,8 +273,8 @@ void Elaboration::attach_monitor(sim::ProtocolMonitor& monitor) {
   for (const auto& [node, meb] : mebs_) {
     watch_buffer(node, [m = meb] { return m.total_occupancy(); });
   }
-  for (const auto& [node, occupancy] : buffer_occupancy_) {
-    watch_buffer(node, occupancy);
+  for (const auto& [node, eb] : buffers_) {
+    watch_buffer(node, [eb = eb] { return eb->occupancy(); });
   }
   sim_.set_monitor(&monitor);
 }
@@ -296,26 +282,6 @@ void Elaboration::attach_monitor(sim::ProtocolMonitor& monitor) {
 void Elaboration::bind_faults(sim::FaultInjector& injector) {
   for (const sim::ChannelRow& row : rows_) injector.bind(row);
   sim_.set_fault_injector(&injector);
-}
-
-void Elaboration::expose_source(const std::string& name, elastic::Source<Word>& src) {
-  sources_[name] = &src;
-}
-void Elaboration::expose_sink(const std::string& name, elastic::Sink<Word>& snk) {
-  sinks_[name] = &snk;
-}
-void Elaboration::expose_mt_source(const std::string& name, mt::MtSource<Word>& src) {
-  mt_sources_[name] = &src;
-}
-void Elaboration::expose_buffer(const std::string& name,
-                                std::function<int()> occupancy) {
-  buffer_occupancy_[name] = std::move(occupancy);
-}
-void Elaboration::expose_mt_sink(const std::string& name, mt::MtSink<Word>& snk) {
-  mt_sinks_[name] = &snk;
-}
-void Elaboration::expose_meb(const std::string& name, mt::AnyMeb<Word> meb) {
-  mebs_.emplace(name, meb);
 }
 
 }  // namespace mte::netlist

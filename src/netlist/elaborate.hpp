@@ -1,11 +1,10 @@
 // Elaboration: turns an abstract elastic netlist into a live, runnable
 // Simulator. A single-thread netlist elaborates to the elastic:: base
 // primitives; a multithreaded netlist (after to_multithreaded) elaborates
-// to MEBs and M- operators. Tokens are 64-bit words; function and branch
-// nodes resolve their behaviour through a FunctionRegistry by name, and
-// every node resolves its hardware through a ComponentFactory — the
-// extensible registry that makes new primitives a registration, not a
-// code change.
+// to MEBs and M- operators, one switch on the node type per mode. Tokens
+// are 64-bit words; function and branch nodes resolve their behaviour
+// through a FunctionRegistry by name, and custom nodes resolve their
+// hardware through a ComponentFactory by kind.
 //
 // Besides the boundary source/sink handles, an Elaboration fills the
 // channel table: one sim::ChannelRow per channel, in edge order, holding
@@ -31,6 +30,7 @@
 #include <vector>
 
 #include "elastic/channel.hpp"
+#include "elastic/elastic_buffer.hpp"
 #include "elastic/sink.hpp"
 #include "elastic/source.hpp"
 #include "mt/meb_variant.hpp"
@@ -96,19 +96,14 @@ struct ElaborationOptions {
 /// observation, and typed channel/MEB access for detailed inspection.
 class Elaboration {
  public:
-  /// Elaborates with the built-in primitive set.
-  Elaboration(const Netlist& netlist, const FunctionRegistry& registry);
-  /// Elaborates with a custom (usually extended) factory.
+  /// Elaborates `netlist`; `factory` builds its custom nodes.
   Elaboration(const Netlist& netlist, const FunctionRegistry& registry,
-              const ComponentFactory& factory, ElaborationOptions options = {});
+              const ComponentFactory& factory = ComponentFactory::defaults(),
+              ElaborationOptions options = {});
 
   [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
   [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
   [[nodiscard]] bool is_multithreaded() const noexcept { return multithreaded_; }
-
-  /// The options this design was elaborated with; node builders consult
-  /// them (arbiter policy, reduced-MEB pool size override).
-  [[nodiscard]] const ElaborationOptions& options() const noexcept { return options_; }
 
   // Single-thread boundary handles (!is_multithreaded()).
   [[nodiscard]] elastic::Source<Word>& source(const std::string& name);
@@ -165,27 +160,21 @@ class Elaboration {
   /// simulator.
   void bind_faults(sim::FaultInjector& injector);
 
-  // --- factory-facing registration ---------------------------------------
-  // Node builders call these to publish handles under the node's name.
-  void expose_source(const std::string& name, elastic::Source<Word>& src);
-  void expose_sink(const std::string& name, elastic::Sink<Word>& snk);
-  void expose_mt_source(const std::string& name, mt::MtSource<Word>& src);
-  void expose_mt_sink(const std::string& name, mt::MtSink<Word>& snk);
-  void expose_meb(const std::string& name, mt::AnyMeb<Word> meb);
-  /// ST buffer builders publish an occupancy accessor so attach_monitor
-  /// can add an MTE105 token-conservation watch across the buffer.
-  void expose_buffer(const std::string& name, std::function<int()> occupancy);
-
  private:
-  void elaborate_single(const Netlist& netlist, const FunctionRegistry& registry,
-                        const ComponentFactory& factory, bool probes);
-  void elaborate_multi(const Netlist& netlist, const FunctionRegistry& registry,
-                       const ComponentFactory& factory, bool probes);
+  /// The one build loop of both modes: makes a channel and its table row
+  /// per edge, then builds every node.
+  template <typename ChannelT>
+  void elaborate(const Netlist& netlist, const FunctionRegistry& registry,
+                 const ComponentFactory& factory);
+  /// Builds one node: a built-in primitive, or a custom kind through
+  /// `factory` (component_factory.cpp).
+  void build(const StContext& ctx, const ComponentFactory& factory);
+  void build(const MtContext& ctx, const ComponentFactory& factory);
   /// Appends a row (wires only; the constructor fills in the endpoint
-  /// names and persistence flags once the node builders have run).
+  /// names and persistence flags once every node is built).
   void add_row(std::string name, std::span<sim::Wire<bool>> valid,
                std::span<sim::Wire<bool>> ready, sim::Wire<Word>& data,
-               const mt::ThreadMask* valid_mask, bool probes);
+               const mt::ThreadMask* valid_mask);
   [[nodiscard]] std::size_t row_index(const std::string& name) const;
 
   sim::Simulator sim_;
@@ -197,7 +186,7 @@ class Elaboration {
   std::map<std::string, mt::MtSource<Word>*> mt_sources_;
   std::map<std::string, mt::MtSink<Word>*> mt_sinks_;
   std::map<std::string, mt::AnyMeb<Word>> mebs_;
-  std::map<std::string, std::function<int()>> buffer_occupancy_;
+  std::map<std::string, elastic::ElasticBuffer<Word>*> buffers_;
 
   // The channel table, and per row the typed channel (exactly one of st/mt
   // is set, by elaboration mode) and the probe (null when probes are off).

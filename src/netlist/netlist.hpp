@@ -32,7 +32,7 @@ enum class NodeType {
   kBranch,      ///< routes by a predicate on the token (true/false outputs)
   kFunction,    ///< combinational map, by registry name
   kVarLatency,  ///< variable-latency unit (shared MtVarLatencyUnit after the MT transform)
-  kCustom,      ///< user primitive, resolved by kind through the ComponentFactory
+  kCustom,      ///< user primitive, built by the ComponentFactory entry for its kind
 };
 
 [[nodiscard]] const char* to_string(NodeType type);

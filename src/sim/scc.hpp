@@ -1,5 +1,6 @@
-// Strongly connected components for the analysis passes (internal header,
-// shared by the structural analyzer and the static perf pass).
+// Strongly connected components (internal header): the event kernel's
+// levelization, the structural analyzer and the static perf pass share
+// this one Tarjan.
 #pragma once
 
 #include <algorithm>
@@ -7,7 +8,7 @@
 #include <limits>
 #include <vector>
 
-namespace mte::analysis::detail {
+namespace mte::sim {
 
 /// Iterative Tarjan over an adjacency list of arcs; `head(arc)` names the
 /// vertex an arc points to. Returns the SCC id of every vertex. Ids count
@@ -70,4 +71,4 @@ template <typename Arc, typename Head>
   return scc;
 }
 
-}  // namespace mte::analysis::detail
+}  // namespace mte::sim

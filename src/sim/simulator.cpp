@@ -13,6 +13,7 @@
 #include "obs/trace_session.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/protocol_monitor.hpp"
+#include "sim/scc.hpp"
 #include "sim/snapshot.hpp"
 
 namespace mte::sim {
@@ -372,64 +373,22 @@ void Simulator::relevelize() {
   }
   relevel_work_ += n + edges;
 
-  // Strongly connected components (iterative Tarjan), then longest-path
-  // levels over the condensation DAG. Processes of the same SCC (e.g. the
-  // cross-coupled ready/valid of an M-Join and its feeding MEBs) share a
-  // level and iterate there to their fixed point; everything else settles
-  // in one topologically ordered sweep.
-  constexpr std::uint32_t kUnvisited = 0xffffffffu;
-  std::vector<std::uint32_t> dfs_index(n, kUnvisited);
-  std::vector<std::uint32_t> lowlink(n, 0);
-  std::vector<std::uint32_t> scc(n, 0);
-  std::vector<char> onstack(n, 0);
-  std::vector<std::uint32_t> stack;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> frames;  // (node, child)
-  std::uint32_t next_index = 0;
-  std::uint32_t scc_count = 0;
-  for (std::uint32_t root = 0; root < n; ++root) {
-    if (dfs_index[root] != kUnvisited) continue;
-    frames.emplace_back(root, 0);
-    while (!frames.empty()) {
-      const std::uint32_t v = frames.back().first;
-      if (frames.back().second == 0) {
-        dfs_index[v] = lowlink[v] = next_index++;
-        stack.push_back(v);
-        onstack[v] = 1;
-      }
-      if (frames.back().second < succ[v].size()) {
-        const std::uint32_t w = succ[v][frames.back().second++];
-        if (dfs_index[w] == kUnvisited) {
-          frames.emplace_back(w, 0);
-        } else if (onstack[w] != 0) {
-          lowlink[v] = std::min(lowlink[v], dfs_index[w]);
-        }
-      } else {
-        if (lowlink[v] == dfs_index[v]) {
-          while (true) {
-            const std::uint32_t w = stack.back();
-            stack.pop_back();
-            onstack[w] = 0;
-            scc[w] = scc_count;
-            if (w == v) break;
-          }
-          ++scc_count;
-        }
-        frames.pop_back();
-        if (!frames.empty()) {
-          lowlink[frames.back().first] =
-              std::min(lowlink[frames.back().first], lowlink[v]);
-        }
-      }
-    }
-  }
+  // Strongly connected components, then longest-path levels over the
+  // condensation DAG. Processes of the same SCC (e.g. the cross-coupled
+  // ready/valid of an M-Join and its feeding MEBs) share a level and
+  // iterate there to their fixed point; everything else settles in one
+  // topologically ordered sweep.
+  const std::vector<std::size_t> scc = scc_ids(succ, [](std::uint32_t w) { return w; });
+  std::size_t scc_count = 0;
+  for (const std::size_t id : scc) scc_count = std::max(scc_count, id + 1);
 
-  // Tarjan numbers SCCs in reverse topological order (descendants first),
+  // SCC ids count up in reverse topological order (descendants first),
   // so walking ids downward visits every SCC before its successors.
   std::vector<std::vector<std::uint32_t>> members(scc_count);
   for (std::uint32_t i = 0; i < n; ++i) members[scc[i]].push_back(i);
   std::vector<std::uint32_t> scc_level(scc_count, 0);
   std::uint32_t max_level = 0;
-  for (std::uint32_t s = scc_count; s-- > 0;) {
+  for (std::size_t s = scc_count; s-- > 0;) {
     max_level = std::max(max_level, scc_level[s]);
     for (const std::uint32_t u : members[s]) {
       for (const std::uint32_t w : succ[u]) {

@@ -79,7 +79,9 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -104,6 +106,15 @@ enum class KernelKind { kNaive, kEventDriven };
 
 [[nodiscard]] constexpr const char* to_string(KernelKind kind) noexcept {
   return kind == KernelKind::kNaive ? "naive" : "event-driven";
+}
+
+/// Parses "naive", "event" or the to_string() spelling "event-driven";
+/// nullopt for anything else.
+[[nodiscard]] constexpr std::optional<KernelKind> parse_kernel_kind(
+    std::string_view name) noexcept {
+  if (name == "naive") return KernelKind::kNaive;
+  if (name == "event" || name == "event-driven") return KernelKind::kEventDriven;
+  return std::nullopt;
 }
 
 class Simulator {

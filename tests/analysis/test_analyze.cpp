@@ -5,10 +5,12 @@
 // rendered output for the same shapes.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "analysis/analyze.hpp"
+#include "analysis/perf.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/netlist.hpp"
 
@@ -317,6 +319,21 @@ TEST(Analyze, Mte041HybridPoolLargerThanThreadCount) {
   EXPECT_EQ(count_code(analyze(mt, opt), "MTE041"), 1u);
   opt.meb_shared_slots = 4;
   EXPECT_EQ(analyze(mt, opt).count(), 0u);
+}
+
+TEST(Analyze, PerfBoundTreatsPoolLargerThanThreadsAsThreads) {
+  // At most S threads hold a pool slot, so any K >= S bounds like K = S,
+  // even where S + K and S * (1 + K) would wrap.
+  const Netlist mt = clean_pipeline().to_multithreaded(4, mt::MebKind::kFull);
+  analysis::PerfOptions at_s;
+  at_s.meb_shared_slots = 4;
+  analysis::PerfOptions huge;
+  huge.meb_shared_slots = std::numeric_limits<std::size_t>::max();
+  const analysis::PerfReport want = analysis::analyze_perf(mt, at_s);
+  const analysis::PerfReport got = analysis::analyze_perf(mt, huge);
+  EXPECT_DOUBLE_EQ(want.aggregate_bound, 1.0);
+  EXPECT_DOUBLE_EQ(got.aggregate_bound, want.aggregate_bound);
+  EXPECT_EQ(got.per_thread_bounds, want.per_thread_bounds);
 }
 
 TEST(Analyze, Mte042HybridPoolOfZeroSlots) {

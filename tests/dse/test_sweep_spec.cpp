@@ -159,6 +159,9 @@ TEST(SweepSpec, ParseRejectsJunk) {
   EXPECT_THROW((void)SweepSpec::parse("threads 4x\n"), std::invalid_argument);
   EXPECT_THROW((void)SweepSpec::parse("wat 1\n"), std::invalid_argument);
   EXPECT_THROW((void)SweepSpec::parse("cycles\n"), std::invalid_argument);
+  // Signed text is rejected, not wrapped to 2^64 - 1 or 2^64 - 5.
+  EXPECT_THROW((void)SweepSpec::parse("threads -1\n"), std::invalid_argument);
+  EXPECT_THROW((void)SweepSpec::parse("cycles -5\n"), std::invalid_argument);
 }
 
 TEST(SweepSpec, DefaultCliCampaignHasAtLeast48Points) {

@@ -110,31 +110,5 @@ TEST(ElasticBuffer, DataStableWhileValidUnconsumed) {
   EXPECT_EQ(rig.out.data.get(), 42u);
 }
 
-TEST(HalfBuffer, AlternatesAtHalfThroughput) {
-  sim::Simulator s;
-  Channel<std::uint64_t> in{s, "in"}, out{s, "out"};
-  Source<std::uint64_t> src{s, "src", in};
-  HalfBuffer<std::uint64_t> hb{s, "hb", in, out};
-  Sink<std::uint64_t> sink{s, "sink", out};
-  src.set_generator([](std::uint64_t i) { return i; });
-  s.reset();
-  s.run(100);
-  // Capacity-1 buffer with registered ready alternates accept/emit.
-  EXPECT_NEAR(static_cast<double>(sink.count()), 50.0, 2.0);
-}
-
-TEST(HalfBuffer, PreservesOrder) {
-  sim::Simulator s;
-  Channel<std::uint64_t> in{s, "in"}, out{s, "out"};
-  Source<std::uint64_t> src{s, "src", in};
-  HalfBuffer<std::uint64_t> hb{s, "hb", in, out};
-  Sink<std::uint64_t> sink{s, "sink", out};
-  src.set_tokens(iota_tokens(30));
-  sink.set_rate(0.4, 5);
-  s.reset();
-  s.run(500);
-  EXPECT_EQ(sink.received(), iota_tokens(30));
-}
-
 }  // namespace
 }  // namespace mte::elastic

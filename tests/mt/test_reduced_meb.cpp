@@ -259,7 +259,7 @@ TEST(ReducedMeb, PoolLargerThanThreadsStoresAtMostThreads) {
   // shared words: it is built, fills and drains like a pool of S.
   constexpr std::size_t kPool = std::size_t{1} << 40;
   ReducedRig rig(4, kPool);
-  EXPECT_EQ(rig.meb.capacity(), 4 + kPool);
+  EXPECT_EQ(rig.meb.capacity(), 8u);
   for (std::size_t t = 0; t < 4; ++t) {
     rig.src.set_tokens(t, thread_tokens(t, 30));
     rig.sink.add_stall_window(t, 0, 40);

@@ -312,7 +312,7 @@ TEST(Builder, CustomNodeThroughFactoryRegistry) {
       >> b.sink("snk");
 
   mt::Barrier<Word>* barrier = nullptr;
-  auto factory = ComponentFactory::with_defaults();
+  ComponentFactory factory;
   factory.register_custom_mt("barrier", [&barrier](const MtContext& ctx) {
     barrier = &ctx.sim.make<mt::Barrier<Word>>(ctx.sim, ctx.node.name, ctx.in(0),
                                                ctx.out(0));

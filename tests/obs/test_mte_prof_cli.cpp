@@ -50,6 +50,11 @@ TEST(MteProfCli, RunsExampleAndPrintsProfile) {
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("instances"), std::string::npos);  // profile table
   EXPECT_NE(r.output.find("settle_ms"), std::string::npos);
+  // --kernel accepts the spelling the header line prints.
+  const CliResult named =
+      run_prof("--cycles 20 --kernel event-driven " + example("fig5_pipeline.enl"));
+  EXPECT_EQ(named.exit_code, 0);
+  EXPECT_NE(named.output.find(", event-driven kernel, "), std::string::npos);
 }
 
 TEST(MteProfCli, MetricsSnapshotIsByteIdenticalAcrossRuns) {

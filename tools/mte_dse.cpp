@@ -326,14 +326,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--kernels") {
       spec.kernels.clear();
       for (const auto& v : split_csv(arg_value(i))) {
-        if (v == "naive") {
-          spec.kernels.push_back(sim::KernelKind::kNaive);
-        } else if (v == "event" || v == "event-driven") {
-          spec.kernels.push_back(sim::KernelKind::kEventDriven);
-        } else {
+        const auto parsed = sim::parse_kernel_kind(v);
+        if (!parsed) {
           std::fprintf(stderr, "mte_dse: unknown kernel '%s'\n", v.c_str());
           return 2;
         }
+        spec.kernels.push_back(*parsed);
       }
     } else if (arg == "--cycles") {
       spec.cycles = parse_u64(arg_value(i), "--cycles");

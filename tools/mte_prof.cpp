@@ -129,14 +129,12 @@ bool parse_args(int argc, char** argv, Args& a) {
       number("--cycles", a.cycles);
     } else if (arg == "--kernel") {
       const std::string k = value("--kernel");
-      if (k == "event") {
-        a.kernel = mte::sim::KernelKind::kEventDriven;
-      } else if (k == "naive") {
-        a.kernel = mte::sim::KernelKind::kNaive;
-      } else {
+      const auto parsed = mte::sim::parse_kernel_kind(k);
+      if (!parsed) {
         std::cerr << "mte_prof: unknown kernel '" << k << "'\n";
         return false;
       }
+      a.kernel = *parsed;
     } else if (arg == "--arbiter") {
       const std::string k = value("--arbiter");
       const auto kind = mte::mt::parse_arbiter_kind(k);
